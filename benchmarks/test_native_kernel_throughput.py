@@ -3,9 +3,10 @@
 Backs the acceptance criteria of the :mod:`repro.kernels` tier:
 
 * the fused stencil-convolution EM solve must beat the structured-operator loop
-  by at least 3x at d=64 (the per-iteration python scatter/gather overhead is
-  what the preallocated kernel eliminates; the reference container measures
-  well above the floor) while matching its estimates to 1e-10;
+  by at least 3x at d=64 (the operator walks every (offset, cell) pair of its
+  sparse delta matrix on each matvec, where the preallocated kernel applies the
+  offsets as one stencil convolution; the reference container measures well
+  above the floor) while matching its estimates to 1e-10;
 * the batched inverse-CDF walk and the vectorised order-statistics sampler must
   each beat their whole-array numpy counterparts while staying bit-identical —
   the native tier is a drop-in, not an approximation.
@@ -75,7 +76,7 @@ def test_native_em_solve_speedup(mechanisms, cells, record_result):
         )
 
     # Warm up outside the timed region: kernel build (numba compile or FFT plan
-    # buffers) and the operator's gather/scatter index caches.
+    # buffers) and the operator's sparse delta matrix.
     via_native = solve(native_backed)
     via_operator = solve(operator_backed)
     # Drop-in contract first: same fixed-iteration trajectory to 1e-10.
@@ -94,7 +95,7 @@ def test_native_em_solve_speedup(mechanisms, cells, record_result):
                 f"EM solve latency ({EM_ITERATIONS} fixed iterations), d={GRID_D}, "
                 f"eps={EPSILON}, b_hat={operator_backed.b_hat}, "
                 f"kernel={via_native.kernel}",
-                f"operator gather/scatter loop: {t_operator * 1e3:8.2f} ms",
+                f"operator sparse-delta EM    : {t_operator * 1e3:8.2f} ms",
                 f"fused native kernel         : {t_native * 1e3:8.2f} ms  "
                 f"[{em_native_speedup:.1f}x]",
             ]

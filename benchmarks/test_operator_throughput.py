@@ -93,10 +93,10 @@ def test_vectorised_sampler_speedup(grid, cells, record_result):
         "operator_throughput",
         "\n".join(lines),
         metrics={
-"sampler_speedup": speedup_operator,
-"dense_sampler_speedup": speedup_dense,
-"operator_users_per_second": N_USERS / t_operator,
-},
+            "sampler_speedup": speedup_operator,
+            "dense_sampler_speedup": speedup_dense,
+            "operator_users_per_second": N_USERS / t_operator,
+        },
     )
     assert speedup_operator >= 10.0, f"operator sampler only {speedup_operator:.1f}x faster"
     # The generic row-CDF sampler (used by dense-backed mechanisms) is secondary;

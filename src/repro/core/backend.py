@@ -11,7 +11,7 @@ valid names, and the CLI sources its ``choices`` from the same tuples.
 from __future__ import annotations
 
 #: Transition backends of the disk mechanisms: ``"operator"`` — the structured
-#: scatter/gather operator; ``"dense"`` — the materialised matrix (ablations);
+#: sparse-delta operator; ``"dense"`` — the materialised matrix (ablations);
 #: ``"native"`` — the :mod:`repro.kernels` tier (stencil-convolution EM matvecs
 #: with numba-or-FFT selection, whole-batch background sampling).
 VALID_BACKENDS: tuple[str, ...] = ("operator", "dense", "native")

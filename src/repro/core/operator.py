@@ -11,7 +11,10 @@ collapses at fine grid resolutions.
 :class:`DiskTransitionOperator` exploits the structure directly:
 
 * **matvecs** (``forward``/``backward``, the E- and M-step products of EM) run in
-  ``O(d^2 * k)`` via shifted scatter/gather instead of dense matmuls;
+  ``O(d^2 * k)`` instead of dense matmuls: the matrix splits into the constant
+  ``q_hat`` plus a sparse ``(d^2, m)`` matrix of the offset deltas ``values - q_hat``
+  with ``k`` entries per row, so each product is one sparse matvec plus a rank-one
+  background term;
 * **sampling** (:meth:`DiskTransitionOperator.sample`) answers a whole batch of users
   from a single uniform draw: the disk part through one ``searchsorted`` on the
   cumulative offset masses, the background part through an order-statistics mapping
@@ -32,6 +35,7 @@ matrix it represents.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.domain import GridSpec
 from repro.core.geometry import output_domain_cells
@@ -91,6 +95,15 @@ class DiskTransitionOperator:
     ``j`` of input cell ``i`` lands on — as a ``(k, d^2)`` int32 array.  That is the
     ``O(d^2 * k)`` footprint everything else builds on; the dense matrix would be
     ``O(d^2 * m)`` with ``m ~ (d + 2*b_hat)^2``.
+
+    The first matvec builds the delta matrix ``S``: a ``(d^2, m)`` CSR matrix whose
+    row ``i`` holds ``values - background`` at ``out_indices[:, i]``, so that
+    ``T = S + background`` everywhere.  ``backward`` is ``S @ w`` and ``forward``
+    is ``S.T @ theta`` through the CSC view of the same arrays.  ``S`` holds 12
+    bytes (a float64 value and an int32 column index) per (offset, cell) pair for
+    the operator's life — 12.9 MB at d=50 and 33 MB at d=64 — in place of the
+    per-call ``(k, d^2)`` temporaries of a scatter/gather formulation, which
+    peaked at 17 MB and 44 MB.
     """
 
     def __init__(
@@ -131,6 +144,9 @@ class DiskTransitionOperator:
                 f"operator rows must sum to 1, got {row_sum} "
                 f"(tolerance {atol} at {self.n_outputs} outputs)"
             )
+        # Delta matrix of the EM matvecs and its CSC view, built on the first matvec.
+        self._delta_matrix: sparse.csr_matrix | None = None
+        self._delta_matrix_t: sparse.csc_matrix | None = None
         # Sampling caches, built lazily on the first sample() call.
         self._cum_values: np.ndarray | None = None
         self._sorted_disk: np.ndarray | None = None
@@ -173,27 +189,38 @@ class DiskTransitionOperator:
         return out
 
     # --------------------------------------------------------------- matvecs
+    def _build_delta_matrix(self) -> None:
+        n, k = self.n_inputs, self.n_offsets
+        self._delta_matrix = sparse.csr_matrix(
+            (np.tile(self._deltas, n), self._out_indices.T.ravel(), np.arange(n + 1) * k),
+            shape=self.shape,
+        )
+        # The transpose shares the CSR's three arrays; it is a view, not a copy.
+        self._delta_matrix_t = self._delta_matrix.T
+
     def forward(self, theta: np.ndarray) -> np.ndarray:
-        """``theta @ T`` in ``O(d^2 * k)``: uniform background plus offset scatter."""
+        """``theta @ T`` in ``O(d^2 * k)``: ``S.T @ theta`` plus the uniform background."""
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.shape[0] != self.n_inputs:
             raise ValueError(f"theta must have length {self.n_inputs}, got {theta.shape[0]}")
-        out = np.full(self.n_outputs, self.background * theta.sum())
-        out += np.bincount(
-            self._out_indices.ravel(),
-            weights=(self._deltas[:, None] * theta[None, :]).ravel(),
-            minlength=self.n_outputs,
-        )
+        if self._delta_matrix_t is None:
+            self._build_delta_matrix()
+        out = self._delta_matrix_t @ theta
+        out += self.background * theta.sum()
         return out
 
     def backward(self, weights: np.ndarray) -> np.ndarray:
-        """``T @ w`` in ``O(d^2 * k)``: uniform background plus offset gather."""
+        """``T @ w`` in ``O(d^2 * k)``: ``S @ w`` plus the uniform background."""
         weights = np.asarray(weights, dtype=float).reshape(-1)
         if weights.shape[0] != self.n_outputs:
             raise ValueError(
                 f"weights must have length {self.n_outputs}, got {weights.shape[0]}"
             )
-        return self.background * weights.sum() + self._deltas @ weights[self._out_indices]
+        if self._delta_matrix is None:
+            self._build_delta_matrix()
+        out = self._delta_matrix @ weights
+        out += self.background * weights.sum()
+        return out
 
     def to_dense(self) -> np.ndarray:
         """Materialise the classical ``(d^2, m)`` transition matrix."""

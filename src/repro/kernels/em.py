@@ -1,12 +1,12 @@
 """The EM matvec kernel: fused, buffer-reusing forward/backward/EM-step.
 
 The structured :class:`~repro.core.operator.DiskTransitionOperator` already cut
-the EM matvecs from ``O(d^2 * m)`` dense matmuls to ``O(d^2 * k)`` scatter and
-gather — but its ``forward`` still materialises a ``(k, d^2)`` outer-product
-temporary (22 MB per call at d=64) and each EM iteration allocates five more
-``m``- and ``d^2``-sized temporaries.  :class:`EMKernel` is the
-``backend="native"`` replacement, exploiting one more layer of structure: the
-offsets form a contiguous stencil, so
+the EM matvecs from ``O(d^2 * m)`` dense matmuls to ``O(d^2 * k)`` sparse
+matvecs with one ``(d^2, m)`` CSR matrix of the offset deltas — but that matrix
+stores every (offset, cell) pair explicitly (33 MB at d=64) and each EM
+iteration still allocates five ``m``- and ``d^2``-sized temporaries.
+:class:`EMKernel` is the ``backend="native"`` replacement, exploiting one more
+layer of structure: the offsets form a contiguous stencil, so
 
 * ``forward`` (``theta @ T``) is exactly a **2-D full convolution** of the
   ``d x d`` estimate with the ``(2b+1) x (2b+1)`` delta stencil, evaluated over
