@@ -64,14 +64,14 @@ def compare(results_dir: Path, baseline_path: Path) -> list[str]:
                 print(f"  {bench_name}.{metric}: NOT RECORDED")
             elif current < floor:
                 failures.append(
-                    f"{bench_name}.{metric}: {current:.2f} < floor {floor:.2f} "
-                    f"(baseline {reference:.2f})"
+                    f"{bench_name}.{metric}: {current:.4g} < floor {floor:.4g} "
+                    f"(baseline {reference:.4g})"
                 )
-                print(f"  {bench_name}.{metric}: {current:.2f}  REGRESSED "
-                      f"(baseline {reference:.2f}, floor {floor:.2f})")
+                print(f"  {bench_name}.{metric}: {current:.4g}  REGRESSED "
+                      f"(baseline {reference:.4g}, floor {floor:.4g})")
             else:
-                print(f"  {bench_name}.{metric}: {current:.2f}  ok "
-                      f"(baseline {reference:.2f}, floor {floor:.2f})")
+                print(f"  {bench_name}.{metric}: {current:.4g}  ok "
+                      f"(baseline {reference:.4g}, floor {floor:.4g})")
     return failures
 
 

@@ -14,7 +14,7 @@ number: ``REPRO_BENCH_WORKERS`` fans sweep cells out to a process pool, and
 cache so interrupted or repeated benchmark runs only compute missing cells.
 
 Each benchmark writes the regenerated series to ``benchmarks/results/<name>.txt`` so
-the numbers that back EXPERIMENTS.md can be re-inspected after a run.  Alongside
+the numbers behind ``docs/BENCHMARKS.md`` can be re-inspected after a run.  Alongside
 every ``.txt``, :func:`record_result` writes a machine-readable
 ``BENCH_<name>.json`` — profile, python version and the benchmark's numeric
 ``metrics`` dict (speedups, parities, queries/sec).  CI uploads these as workflow

@@ -89,9 +89,9 @@ def test_parallel_pipeline_scaling(bench_profile, record_result):
         "parallel_scaling_pipeline",
         "\n".join(lines),
         metrics={
-"serial_users_per_second": n_users / t_serial,
-"cpus": available,
-},
+            "serial_users_per_second": n_users / t_serial,
+            "cpus": available,
+        },
     )
 
 
@@ -144,10 +144,10 @@ def test_parallel_sweep_scaling_and_cache(bench_config, record_result, tmp_path_
         "parallel_scaling_sweep",
         "\n".join(lines),
         metrics={
-"warm_cache_speedup": warm_speedup,
-"parallel_speedup": parallel_speedup,
-"cpus": available,
-},
+            "warm_cache_speedup": warm_speedup,
+            "parallel_speedup": parallel_speedup,
+            "cpus": available,
+        },
     )
 
     # The warm re-run only replays JSON lookups; 1.5x is a deliberately loose floor.

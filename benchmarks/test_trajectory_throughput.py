@@ -163,9 +163,9 @@ def test_trajectory_workload_replay_rates(engine, model, record_result):
         "trajectory_workload_replay",
         report.format(),
         metrics={
-"range_ops_per_second": report.per_kind["range_mass"]["ops_per_second"],
-"od_top_k_ops_per_second": report.per_kind["od_top_k"]["ops_per_second"],
-},
+            "range_ops_per_second": report.per_kind["range_mass"]["ops_per_second"],
+            "od_top_k_ops_per_second": report.per_kind["od_top_k"]["ops_per_second"],
+        },
     )
     assert report.n_operations == log.size
     assert {"od_top_k", "transition_top_k", "length_histogram"} <= set(answers)

@@ -24,8 +24,8 @@ Two subcommands cover the common workflows without writing Python:
     then answer a batched range-query workload (plus top-k hotspots and quantile
     contours) through the summed-area-table :class:`~repro.queries.engine.QueryEngine`
     and report accuracy against the raw points together with serving throughput.
-    ``--save-log``/``--replay`` persist and replay workloads; ``--workers`` fans the
-    range batch out to a process pool.
+    ``--save-log``/``--replay`` persist and replay workloads.  Multi-process
+    serving is ``repro serve --serve-workers``.
 
 ``python -m repro trajectory``
     The trajectory workload at scale: generate an Appendix-D trajectory set from a
@@ -249,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default="0.5,0.9",
         help="comma-separated quantile-contour levels ('' disables)",
-    )
-    query.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan the range batch out to this many worker processes",
     )
     query.add_argument(
         "--save-log",
@@ -610,8 +604,6 @@ def _run_estimate(args) -> int:
 
 def _run_query(args) -> int:
     points = _load_points(args)
-    if args.workers < 1:
-        raise SystemExit("--workers must be a positive integer")
     if args.n_queries < 1:
         raise SystemExit("--n-queries must be a positive integer")
     result = estimate_spatial_distribution(
@@ -646,8 +638,7 @@ def _run_query(args) -> int:
         log.save(args.save_log)
         print(f"wrote {args.save_log}")
 
-    with WorkloadReplay(engine, workers=args.workers) as replay:
-        report, answers = replay.replay(log)
+    report, answers = WorkloadReplay(engine).replay(log)
     print(f"users: {result.n_users}   mechanism: {result.mechanism}   "
           f"epsilon: {args.epsilon}   d: {args.d}")
     print(report.format())

@@ -3,7 +3,8 @@
 The benchmark suite prints fixed-width tables; downstream users (and the CLI) usually
 want machine-readable output instead.  These helpers serialise
 :class:`~repro.experiments.runner.SweepResult` objects losslessly and render the
-compact markdown summary used when regenerating EXPERIMENTS.md entries.
+compact markdown summary of a sweep (the reference runs themselves live under
+``benchmarks/results/``; see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations

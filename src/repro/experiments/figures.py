@@ -4,7 +4,7 @@ Each ``figure_*`` function runs the corresponding sweep with a given
 :class:`~repro.experiments.config.ExperimentConfig` and returns a
 :class:`~repro.experiments.runner.SweepResult` (or a plain structure for the tables).
 The benchmark suite calls these with the laptop config and prints the resulting series;
-EXPERIMENTS.md records a reference run.
+``benchmarks/results/`` records a reference run (see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The benchmark suite prints these tables so a run of ``pytest benchmarks/`` produces,
 for every figure, the same "dataset x mechanism x parameter -> W2" series the paper
-plots — which is what EXPERIMENTS.md archives.
+plots — archived under ``benchmarks/results/`` (see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations

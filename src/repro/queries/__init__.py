@@ -54,9 +54,7 @@ class QuerySurface(Protocol):
     ``answer`` takes one query (a :class:`RangeQuery` or an ``[x_lo, x_hi,
     y_lo, y_hi]`` row) and returns its scalar answer; ``answer_batch`` takes a
     workload — anything :func:`queries_to_array` accepts — and returns the
-    ``(n,)`` answer vector.  ``answer_many`` is the deprecated pre-protocol
-    spelling; new code (and the ``query-surface`` lint rule) uses
-    ``answer_batch``.
+    ``(n,)`` answer vector.
     """
 
     def answer(self, query) -> float: ...

@@ -21,8 +21,7 @@ module is the serving path:
   engine (summed-area table included) published by one atomic reference swap, so
   mid-stream queries never observe a half-updated window.
 * :class:`QueryLog` / :class:`WorkloadReplay` — persistable mixed workloads and a
-  replay driver that reports per-operation latency and queries/second (optionally
-  fanning range batches out to a process pool).
+  replay driver that reports per-operation latency and queries/second.
 
 Everything here is exact: the SAT path reproduces the dense
 ``_cell_overlap_fractions`` summation to ~1e-12 (asserted by the hypothesis
@@ -33,7 +32,6 @@ magnitude cheaper per query.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -747,42 +745,13 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-# Worker-process global for the replay pool: the engine ships once per worker via the
-# pool initializer (same pattern as repro.core.parallel / the repetition pool).
-_REPLAY_ENGINE: QueryEngine | None = None
-
-
-def _replay_worker_init(engine: QueryEngine) -> None:
-    global _REPLAY_ENGINE
-    _REPLAY_ENGINE = engine
-
-
-def _replay_range_chunk(chunk: np.ndarray) -> np.ndarray:
-    assert _REPLAY_ENGINE is not None, "replay pool initializer did not run"
-    return _REPLAY_ENGINE.range_mass(chunk)
-
-
-def _replay_worker_ready(_: int) -> bool:
-    """Warm-up probe: round-tripping it proves a worker is up and initialized."""
-    return _REPLAY_ENGINE is not None
-
-
 class WorkloadReplay:
     """Replay a saved :class:`QueryLog` against a :class:`QueryEngine`.
 
     Measures wall-clock latency and throughput per operation kind — the serving-side
-    companion of the accuracy benchmarks.  ``workers > 1`` always fans the
-    range-query batch out to a process pool (answers are identical to the serial
-    replay; the batch is embarrassingly parallel): the batch is split evenly across
-    the workers, with ``chunk_size`` as an upper bound on any single slice.
-
-    The pool is created once and kept warm across replays.  Spawning workers and
-    shipping the engine into them is a deployment cost, not query latency, so
-    :meth:`replay` warms the pool *before* its timed sections — the original
-    implementation built the pool inside the timed range pass, billing pool
-    startup (easily hundreds of milliseconds) to the range-query figures.  Call
-    :meth:`close` — or use the replay as a context manager — to release the
-    workers.
+    companion of the accuracy benchmarks.  Every operation runs in this process
+    against ``engine``; multi-process range serving is
+    :class:`~repro.serving.ServingServer`'s job (``repro serve --serve-workers``).
     """
 
     #: how many same-sized slices the vectorised batch kinds are cut into so the
@@ -790,64 +759,8 @@ class WorkloadReplay:
     #: and concatenating the slice answers is bitwise identical to one call)
     LATENCY_SLICES = 32
 
-    def __init__(
-        self, engine: QueryEngine, *, workers: int = 1, chunk_size: int = 100_000
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    def __init__(self, engine: QueryEngine) -> None:
         self.engine = engine
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self._pool: ProcessPoolExecutor | None = None
-
-    # ------------------------------------------------------------------- pool
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The persistent fan-out pool, created and warmed on first use.
-
-        Warm-up round-trips one probe per worker so the processes are spawned
-        and the initializer (the one-time engine transfer) has run before any
-        timed section starts.
-        """
-        if self._pool is None:
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_replay_worker_init,
-                initargs=(self.engine,),
-            )
-            if not all(pool.map(_replay_worker_ready, range(self.workers))):
-                pool.shutdown()
-                raise RuntimeError("replay pool initializer did not run")
-            self._pool = pool
-        return self._pool
-
-    @property
-    def pool_warm(self) -> bool:
-        """Whether the persistent pool is already up (no startup left to bill)."""
-        return self._pool is not None
-
-    def close(self) -> None:
-        """Shut the persistent pool down (idempotent; reopens on next use)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "WorkloadReplay":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _range_mass(self, queries: np.ndarray) -> np.ndarray:
-        n = queries.shape[0]
-        if self.workers <= 1 or n < 2:
-            return self.engine.range_mass(queries)
-        chunk = min(self.chunk_size, -(-n // self.workers))
-        n_chunks = -(-n // chunk)
-        chunks = np.array_split(queries, n_chunks)
-        pool = self._ensure_pool()
-        return np.concatenate(list(pool.map(_replay_range_chunk, chunks)))
 
     def replay(self, log: QueryLog) -> tuple[ReplayReport, dict]:
         """Run every logged operation; return the report and the raw answers.
@@ -878,10 +791,6 @@ class WorkloadReplay:
                     "a TrajectoryQueryEngine (or the StreamingTrajectoryQueryEngine "
                     "serving façade)"
                 )
-        # Warm the fan-out pool before anything is timed: pool spawn and the
-        # engine transfer must not be billed as range-query latency.
-        if self.workers > 1 and log.range_queries.shape[0] >= 2:
-            self._ensure_pool()
         per_kind: dict = {}
         answers: dict = {}
 
@@ -910,7 +819,7 @@ class WorkloadReplay:
 
         if log.range_queries.shape[0]:
             answers["range_mass"] = np.concatenate(
-                timed("range_mass", sliced(log.range_queries, self._range_mass))
+                timed("range_mass", sliced(log.range_queries, self.engine.range_mass))
             )
         if log.density_points.shape[0]:
             answers["point_density"] = np.concatenate(

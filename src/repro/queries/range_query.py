@@ -18,10 +18,10 @@ module implements that combination:
 
 Summation is delegated to the summed-area-table engine
 (:class:`repro.queries.engine.SummedAreaTable`): instead of an O(d^2) dense overlap
-pass per query, each answer costs four O(1) corner lookups, and
-``answer_many``/``answer_batch`` answer a whole workload with a handful of vectorised
-operations.  The dense path is kept as :func:`dense_range_answer` — it is the
-reference implementation the property tests compare the SAT path against.
+pass per query, each answer costs four O(1) corner lookups, and ``answer_batch``
+answers a whole workload with a handful of vectorised operations.  The dense path is
+kept as :func:`dense_range_answer` — it is the reference implementation the property
+tests compare the SAT path against.
 
 Boundary convention
 -------------------
@@ -38,9 +38,7 @@ every point is counted exactly once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -165,16 +163,6 @@ class FlatRangeQueryEngine:
     def answer_batch(self, queries) -> np.ndarray:
         """Batched answers for an ``(n, 4)`` array of ``[x_lo, x_hi, y_lo, y_hi]``."""
         return self._sat.answer_batch(queries)
-
-    def answer_many(self, queries: Sequence[RangeQuery]) -> np.ndarray:
-        """Deprecated alias of :meth:`answer_batch` (the unified query surface)."""
-        warnings.warn(
-            "answer_many() is deprecated; use answer_batch() — the "
-            "repro.queries.QuerySurface spelling every engine shares",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.answer_batch(queries)
 
 
 @dataclass
@@ -342,16 +330,6 @@ class HierarchicalRangeQueryEngine:
         """
         arr = queries_to_array(queries)
         return np.array([self.answer(RangeQuery(*row)) for row in arr])
-
-    def answer_many(self, queries: Sequence[RangeQuery]) -> np.ndarray:
-        """Deprecated alias of :meth:`answer_batch` (the unified query surface)."""
-        warnings.warn(
-            "answer_many() is deprecated; use answer_batch() — the "
-            "repro.queries.QuerySurface spelling every engine shares",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.answer_batch(queries)
 
 
 @dataclass

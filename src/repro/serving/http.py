@@ -297,9 +297,9 @@ class HttpServingFront:
     def _classify(self, exc: BaseException) -> _Rejection:
         """Map a serving-layer failure to its HTTP rejection."""
         text = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, TornSnapshotError) or "TornSnapshotError" in text:
-            # The publisher died mid-publish (directly observed, or surfaced
-            # through a worker-task failure): retryable server-side state.
+        if isinstance(exc, TornSnapshotError):
+            # The publisher died mid-publish (directly observed, or re-raised
+            # typed from a worker-task failure): retryable server-side state.
             return _Rejection(503, text, retry_after=self._retry_after)
         if isinstance(exc, BackpressureError):
             return _Rejection(429, text, retry_after=self._retry_after)

@@ -43,6 +43,7 @@ from repro.serving.shm import (
     SnapshotReader,
     SnapshotSpec,
     SnapshotWriter,
+    TornSnapshotError,
     attach_shared_memory,
 )
 from repro.serving.wire import QueryKind
@@ -150,6 +151,12 @@ def _arena_views(
     return cached[0], cached[1]
 
 
+def _task_failure(task_id: int, error: tuple[type, str]) -> RuntimeError:
+    """The exception a worker's ``(type, text)`` error result re-raises as."""
+    raised, text = error
+    return raised(f"serving worker failed task {task_id}: {text}")
+
+
 def _worker_main(
     spec: SnapshotSpec, tasks, results, ready, read_timeout: float, torn_timeout: float
 ) -> None:
@@ -185,7 +192,11 @@ def _worker_main(
                 else:
                     raise ValueError(f"unknown task kind {kind!r}")
             except Exception as exc:  # surface, don't kill the worker
-                results.put((task_id, -1, None, None, f"{type(exc).__name__}: {exc}"))
+                # A torn snapshot keeps its type across the queue (the HTTP
+                # front maps it to 503); any other failure re-raises as a
+                # RuntimeError carrying the original type name.
+                raised = TornSnapshotError if isinstance(exc, TornSnapshotError) else RuntimeError
+                results.put((task_id, -1, None, None, (raised, f"{type(exc).__name__}: {exc}")))
     finally:
         reader.close()
         for _, _, segment in arenas.values():
@@ -222,7 +233,8 @@ class ServingServer:
     torn_timeout:
         How long a worker tolerates a generation stuck on one odd value before
         failing the task with :class:`~repro.serving.shm.TornSnapshotError` —
-        the dead-publisher detector, surfaced as a task *result*, not a hang.
+        the dead-publisher detector, surfaced as a task *result*, not a hang,
+        and re-raised with its type by :meth:`collect` / :meth:`serve_staged`.
     """
 
     def __init__(
@@ -451,7 +463,7 @@ class ServingServer:
         task_id, generation, epoch, payload, error = message
         demux = self._task_demux.pop(task_id)
         if error is not None:
-            raise RuntimeError(f"serving worker failed task {task_id}: {error}")
+            raise _task_failure(task_id, error)
         for ticket, lo, hi, dst_offset in demux:
             n = hi - lo
             self._ticket_answers[ticket][dst_offset : dst_offset + n] = payload[lo:hi]
@@ -518,9 +530,7 @@ class ServingServer:
             task_id, generation, epoch, _, error = message
             if task_id in outstanding:
                 if error is not None:
-                    raise RuntimeError(
-                        f"serving worker failed task {task_id}: {error}"
-                    )
+                    raise _task_failure(task_id, error)
                 outstanding.discard(task_id)
                 answered[task_id] = (generation, epoch)
             else:

@@ -29,7 +29,6 @@ class TestRegistry:
             "agg-protocol",
             "bench-metrics",
             "bench-baseline",
-            "query-surface",
         }
 
     def test_get_rules_default_returns_all(self):

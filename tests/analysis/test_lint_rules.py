@@ -19,7 +19,6 @@ MECHANISM_PATH = Path("src/repro/mechanisms/fixture_mechanism.py")
 CORE_PATH = Path("src/repro/core/fixture_module.py")
 STREAMING_PATH = Path("src/repro/streaming/fixture_aggregates.py")
 BENCH_PATH = Path("benchmarks/test_fixture_bench.py")
-QUERIES_PATH = Path("src/repro/queries/fixture_queries.py")
 
 #: rule id -> (flagged fixture, clean fixture, synthetic path to lint under).
 PAIRS = {
@@ -39,11 +38,6 @@ PAIRS = {
     ),
     "agg-protocol": ("agg_protocol_flagged.py", "agg_protocol_clean.py", STREAMING_PATH),
     "bench-metrics": ("bench_metrics_flagged.py", "bench_metrics_clean.py", BENCH_PATH),
-    "query-surface": (
-        "query_surface_flagged.py",
-        "query_surface_clean.py",
-        QUERIES_PATH,
-    ),
 }
 
 

@@ -165,17 +165,6 @@ class TestQuerySurface:
             assert isinstance(engine, QuerySurface)
             assert engine.answer_batch(workload.as_array()).shape == (25,)
 
-    def test_answer_many_deprecated_alias(self, points, workload):
-        estimate = GridSpec.unit(9).distribution(points)
-        for engine in (
-            FlatRangeQueryEngine(estimate),
-            HierarchicalRangeQueryEngine(SpatialDomain.unit(), 3.0).fit(points, seed=9),
-        ):
-            expected = engine.answer_batch(workload.queries)
-            with pytest.warns(DeprecationWarning, match="answer_batch"):
-                aliased = engine.answer_many(workload.queries)  # repro-lint: disable=query-surface
-            np.testing.assert_array_equal(aliased, expected)
-
 
 class TestQueriesToArray:
     def test_single_query(self):
@@ -354,44 +343,6 @@ class TestQueryLogAndReplay:
         report, answers = WorkloadReplay(engine).replay(QueryLog())
         assert report.n_operations == 0
         assert answers == {}
-
-    def test_replay_workers_match_serial(self):
-        rng = np.random.default_rng(4)
-        engine = QueryEngine(GridSpec.unit(10).distribution(rng.random((2000, 2))))
-        log = QueryLog.random(SpatialDomain.unit(), n_range=600, seed=5)
-        _, serial = WorkloadReplay(engine).replay(log)
-        with WorkloadReplay(engine, workers=2, chunk_size=100) as replay:
-            _, fanned = replay.replay(log)
-        np.testing.assert_allclose(fanned["range_mass"], serial["range_mass"])
-
-    def test_parallel_pool_is_warm_before_the_timed_section(self):
-        """The worker pool spins up outside the measurement, not inside it.
-
-        Pre-1.7 ``_range_mass`` created a fresh ``ProcessPoolExecutor`` inside
-        the timed section, so 'parallel replay throughput' mostly measured
-        process startup.  The pool is now persistent: warmed (spawned + engine
-        shipped + readiness round-trip) before any clock starts, and reused
-        across replays.
-        """
-        rng = np.random.default_rng(13)
-        engine = QueryEngine(GridSpec.unit(8).distribution(rng.random((1500, 2))))
-        log = QueryLog.random(SpatialDomain.unit(), n_range=400, seed=14)
-        with WorkloadReplay(engine, workers=2, chunk_size=100) as replay:
-            assert not replay.pool_warm
-            report, _ = replay.replay(log)
-            assert replay.pool_warm  # warmed by replay(), before timing
-            assert report.per_kind["range_mass"]["ops_per_second"] > 0
-            # A second replay reuses the warm pool.
-            replay.replay(log)
-            assert replay.pool_warm
-        assert not replay.pool_warm  # close() tore it down
-
-    def test_replay_parameters_validated(self):
-        engine = QueryEngine(GridDistribution.uniform(GridSpec.unit(4)))
-        with pytest.raises(ValueError):
-            WorkloadReplay(engine, workers=0)
-        with pytest.raises(ValueError):
-            WorkloadReplay(engine, chunk_size=0)
 
 
 class TestCumulativeAccessor:

@@ -33,7 +33,7 @@ from repro.serving import (
     TrajectorySnapshotWriter,
     requests_from_log,
 )
-from repro.serving.shm import _GENERATION
+from repro.serving.shm import _GENERATION, TornSnapshotError
 
 GRID = GridSpec.unit(8)
 
@@ -304,6 +304,17 @@ class TestErrorPaths:
                 assert error.value.status == 503
                 assert "TornSnapshotError" in error.value.message
                 client.close()
+
+
+class TestErrorClassification:
+    def test_503_is_chosen_by_type_not_by_message_text(self):
+        """Only a TornSnapshotError is a 503; its name inside a message is not."""
+        with ServingServer(GRID, workers=1) as server:
+            front = HttpServingFront(server, retry_after=1.5)
+            lookalike = front._classify(RuntimeError("TornSnapshotError: not torn"))
+            torn = front._classify(TornSnapshotError("stuck at odd generation 3"))
+        assert (lookalike.status, lookalike.retry_after) == (500, None)
+        assert (torn.status, torn.retry_after) == (503, 1.5)
 
 
 class TestLifecycle:

@@ -7,7 +7,12 @@ import pytest
 
 from repro.core.domain import GridSpec
 from repro.queries.engine import QueryEngine, QueryLog
-from repro.serving import BackpressureError, ServingServer, WorkloadArena
+from repro.serving import (
+    BackpressureError,
+    ServingServer,
+    TornSnapshotError,
+    WorkloadArena,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +154,24 @@ class TestFailureSurfacing:
             ticket = server.submit_range_mass(queries[:10])
             with pytest.raises(RuntimeError, match="TornSnapshotError"):
                 server.collect(ticket, timeout=20.0)
+
+    def test_only_a_torn_snapshot_keeps_its_type(self, grid, estimate, queries):
+        # A worker's TornSnapshotError re-raises as itself on both collect
+        # paths; every other worker failure stays a plain RuntimeError.
+        with ServingServer(grid, workers=1, read_timeout=1.0, torn_timeout=0.15) as server:
+            server.start()
+            ticket = server.submit_range_mass(queries[:10])
+            with pytest.raises(RuntimeError, match="TimeoutError") as error:
+                server.collect(ticket, timeout=10.0)
+            assert not isinstance(error.value, TornSnapshotError)
+            server.publish(estimate, epoch=0)
+            server.writer._header[0] += 1  # generation stuck odd
+            ticket = server.submit_range_mass(queries[:10])
+            with pytest.raises(TornSnapshotError, match="stuck at odd generation"):
+                server.collect(ticket, timeout=20.0)
+            with WorkloadArena(queries[:10]) as arena:
+                with pytest.raises(TornSnapshotError, match="stuck at odd generation"):
+                    server.serve_staged(arena, timeout=20.0)
 
     def test_closed_server_refuses_traffic(self, grid, estimate, queries):
         server = ServingServer(grid, workers=1)

@@ -18,6 +18,8 @@ from repro.core.domain import GridSpec
 from repro.queries.engine import TrajectoryQueryEngine
 from repro.serving.shm import (
     _GENERATION,
+    SnapshotReader,
+    SnapshotSpec,
     TornSnapshotError,
     TrajectorySnapshotReader,
     TrajectorySnapshotSpec,
@@ -154,6 +156,15 @@ class TestTrajectorySnapshotReader:
             with pytest.raises(ValueError, match="bytes"):
                 TrajectorySnapshotReader(too_big)
 
+    def test_point_reader_rejects_a_trajectory_segment(self, grid):
+        """The segment is big enough for layout v1, so only the version check catches it."""
+        with writer_for(grid) as writer:
+            spec = writer.spec
+            point_spec = SnapshotSpec(name=spec.name, d=spec.d, bounds=spec.bounds)
+            assert point_spec.size_bytes < spec.size_bytes
+            with pytest.raises(ValueError, match="holds d=6 layout v2, expected d=6 layout v1"):
+                SnapshotReader(point_spec)
+
     def test_wait_ready_and_closed_reader(self, grid):
         with writer_for(grid) as writer:
             reader = TrajectorySnapshotReader(writer.spec)
@@ -170,7 +181,7 @@ class TestTrajectorySnapshotReader:
     def test_torn_writer_raises_fast(self, grid):
         with writer_for(grid) as writer:
             writer.publish(make_engine(grid, 10), epoch=0)
-            writer._views[0][_GENERATION] += 1  # die mid-publish
+            writer._header[_GENERATION] += 1  # die mid-publish
             with TrajectorySnapshotReader(writer.spec) as reader:
                 start = time.monotonic()
                 with pytest.raises(TornSnapshotError, match="stuck at odd generation"):

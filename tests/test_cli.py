@@ -224,8 +224,6 @@ class TestQueryCommand:
 
     def test_query_rejects_bad_parameters(self, csv_points):
         with pytest.raises(SystemExit):
-            main(["query", "--input", str(csv_points), "--workers", "0"])
-        with pytest.raises(SystemExit):
             main(["query", "--input", str(csv_points), "--n-queries", "0"])
 
 
