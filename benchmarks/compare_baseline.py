@@ -2,13 +2,15 @@
 
 The bench-smoke CI job runs the throughput benchmarks, which record their measured
 speedups to ``benchmarks/results/BENCH_<name>.json`` (see the ``record_result``
-fixture in ``benchmarks/conftest.py``).  This script diffs the *gated* speedups —
-the ratios each benchmark already asserts a floor on — against the values committed
-in ``benchmarks/baselines/smoke.json`` and exits non-zero when any of them
-regressed by more than the baseline's ``max_regression`` (default 30%).
+fixture in ``benchmarks/conftest.py``).  This script diffs the *gated* metrics —
+the speedup ratios each benchmark asserts a floor on, plus the absolute rates of
+the default EM, sampler and walk paths — against the values committed in
+``benchmarks/baselines/smoke.json`` and exits non-zero when any of them regressed
+by more than the baseline's ``max_regression`` (default 30%).  Every gated metric
+is higher-is-better.
 
 Speedups are ratios of two timings on the same machine, so they transfer between
-runners far better than absolute timings do; the 30% tolerance absorbs the rest of
+runners far better than absolute rates do; the 30% tolerance absorbs the rest of
 the machine-to-machine noise while still catching a real architectural regression
 (a de-vectorised hot path typically costs an order of magnitude, not 30%).
 

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the design choices the paper argues for.
 
 Not figures from the paper, but measurements that back its design arguments:
 

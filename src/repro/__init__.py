@@ -6,7 +6,9 @@ distribution estimation under Local Differential Privacy, together with every su
 and baseline its evaluation depends on:
 
 * ``repro.core`` — SAM / HUEM / DAM (continuous and grid-discretised), radius selection,
-  shrinkage geometry, GridAreaResponse, EM post-processing and the end-to-end pipeline;
+  shrinkage geometry, GridAreaResponse, the structured disk operator (whole-batch
+  sampling; sparse or FFT EM matvecs, chosen by size), EM post-processing and the
+  end-to-end pipeline;
 * ``repro.mechanisms`` — the baselines: categorical frequency oracles, Square Wave /
   MDSW, Geo-I, SEM-Geo-I, SR/PM and HDG;
 * ``repro.metrics`` — exact and Sinkhorn Wasserstein distances, sliced Wasserstein /
@@ -26,10 +28,6 @@ and baseline its evaluation depends on:
   zero-copy through shared memory behind a seqlock generation counter
   (``SnapshotWriter``/``SnapshotReader``) and a multi-process worker pool with a
   bounded admission/batching front-end (``ServingServer``);
-* ``repro.kernels`` — the native kernel tier behind ``backend="native"``: fused
-  stencil-convolution EM matvecs (numba JIT when importable, recorded pure-numpy
-  FFT fallback), the bisection order-statistics sampler and the batched Markov
-  walk, all drop-in replacements validated by a differential parity suite;
 * ``repro.experiments`` — the parameter grids, the sweep runner and one entry point per
   table/figure of the evaluation.
 

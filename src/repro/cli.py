@@ -7,8 +7,7 @@ Two subcommands cover the common workflows without writing Python:
     DAM pipeline at a chosen budget and grid size, and print the estimated density map
     (optionally as an ASCII heat map) together with the Wasserstein error against the
     non-private histogram.  ``--backend`` switches between the structured
-    transition-operator engine, the dense matrix and the ``native``
-    :mod:`repro.kernels` tier; ``--chunk-size`` streams the
+    transition-operator engine and the dense matrix; ``--chunk-size`` streams the
     points through the pipeline in bounded-memory shards; ``--workers`` privatizes
     the shards on a process pool (bit-identical to the serial run).
 
@@ -81,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backend import VALID_BACKENDS, WALK_BACKENDS
+from repro.core.backend import VALID_BACKENDS
 from repro.core.domain import GridSpec, SpatialDomain
 from repro.core.parallel import DEFAULT_SHARD_SIZE, ParallelPipeline
 from repro.core.pipeline import DAMPipeline, estimate_spatial_distribution
@@ -154,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=VALID_BACKENDS,
         default="operator",
-        help="transition backend: structured operator engine (default), "
-             "the dense matrix, or the native kernel tier",
+        help="transition backend: structured operator engine (default) "
+             "or the dense matrix",
     )
     estimate.add_argument(
         "--chunk-size",
@@ -272,13 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="compare",
         help="compare mechanisms (default), fit the LDPTrace model, "
              "or fit + batched synthesis",
-    )
-    trajectory.add_argument(
-        "--backend",
-        choices=WALK_BACKENDS,
-        default="operator",
-        help="walk backend for --mode fit/synthesize: whole-array numpy "
-             "(default) or the native kernel tier (bit-identical draws)",
     )
     trajectory.add_argument(
         "--input",
@@ -732,9 +724,7 @@ def _run_trajectory(args) -> int:
         return 0
 
     grid = GridSpec(domain, args.d)
-    engine = TrajectoryEngine.build(
-        grid, args.epsilon, max_length=args.max_length, backend=args.backend
-    )
+    engine = TrajectoryEngine.build(grid, args.epsilon, max_length=args.max_length)
     start = time.perf_counter()
     model = engine.fit(dataset.trajectories, seed=args.seed, workers=args.workers)
     fit_seconds = time.perf_counter() - start

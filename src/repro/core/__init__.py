@@ -15,7 +15,7 @@ Public surface:
   and the shard-parallel :class:`ParallelPipeline`.
 """
 
-from repro.core.backend import VALID_BACKENDS, WALK_BACKENDS, resolve_backend
+from repro.core.backend import VALID_BACKENDS, resolve_backend
 from repro.core.dam import DiscreteDAM, DiscreteDAMNoShrink, DiskOutputDomain
 from repro.core.domain import (
     GridDistribution,
@@ -71,7 +71,6 @@ from repro.core.sam import (
 
 __all__ = [
     "VALID_BACKENDS",
-    "WALK_BACKENDS",
     "resolve_backend",
     "DiscreteDAM",
     "DiscreteDAMNoShrink",

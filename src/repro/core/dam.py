@@ -38,17 +38,7 @@ from repro.utils.validation import check_epsilon
 PostProcess = Literal["ems", "em", "ls"]
 #: Type of the ``backend=`` kwarg; the runtime gate is
 #: :func:`repro.core.backend.resolve_backend` (one validator, one error message).
-Backend = Literal["operator", "dense", "native"]
-
-
-def _build_backend_operator(backend: str, grid: GridSpec, b_hat: int, masses: np.ndarray):
-    """Build the transition operator a mechanism's ``backend`` asks for."""
-    if backend == "native":
-        # Imported lazily: repro.kernels sits on top of repro.core.operator.
-        from repro.kernels import build_native_operator
-
-        return build_native_operator(grid, b_hat, masses)
-    return build_disk_operator(grid, b_hat, masses)
+Backend = Literal["operator", "dense"]
 
 
 @dataclass(frozen=True)
@@ -156,13 +146,10 @@ class DiscreteDAM(TransitionMatrixMechanism):
         :func:`repro.core.postprocess.adaptive_smoothing_strength`).
     backend:
         ``"operator"`` (default) keeps the randomisation as a structured
-        :class:`~repro.core.operator.DiskTransitionOperator` — ``O(d^2 * k)``
-        sampling and EM, no dense matrix on the hot path; ``"dense"`` materialises
-        the classical ``(d^2, m)`` matrix up front (ablations, diagnostics);
-        ``"native"`` installs the :class:`repro.kernels.NativeDiskOperator`
-        kernel tier (fused stencil-convolution EM, whole-batch background
-        sampling) — same protocol, kernel selection recorded in
-        :attr:`kernel_build`.
+        :class:`~repro.core.operator.DiskTransitionOperator` — whole-batch
+        sampling and sparse or FFT EM matvecs (chosen by grid and disk size), no
+        dense matrix on the hot path; ``"dense"`` materialises the classical
+        ``(d^2, m)`` matrix up front (ablations, diagnostics).
     """
 
     name = "DAM"
@@ -200,16 +187,13 @@ class DiscreteDAM(TransitionMatrixMechanism):
         # Relative mass of each disk cell: high fraction at e^eps, remainder at 1.
         masses = offsets.copy()
         masses[:, 2] = offsets[:, 2] * e_eps + (1.0 - offsets[:, 2])
-        operator = _build_backend_operator(backend, grid, self.b_hat, masses)
+        operator = build_disk_operator(grid, self.b_hat, masses)
         domain = DiskOutputDomain(d=grid.d, b_hat=self.b_hat, cells=operator.output_cells)
         normaliser = operator.normaliser
         if backend == "dense":
             self._set_transition(operator.to_dense())
         else:
             self._set_operator(operator)
-        #: native-tier build metadata (:class:`repro.kernels.KernelBuild`), or
-        #: ``None`` for the operator/dense backends
-        self.kernel_build = operator.kernel_build if backend == "native" else None
         self.output_domain = domain
         #: high/low report probabilities of Eq. (13)
         self.p_hat = float(e_eps / normaliser)

@@ -19,12 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backend import resolve_backend
-from repro.core.dam import (
-    Backend,
-    DiskOutputDomain,
-    PostProcess,
-    _build_backend_operator,
-)
+from repro.core.dam import Backend, DiskOutputDomain, PostProcess
 from repro.core.domain import GridDistribution, GridSpec
 from repro.core.estimator import TransitionMatrixMechanism
 from repro.core.geometry import (
@@ -33,6 +28,7 @@ from repro.core.geometry import (
     nearest_corner_distance,
     shrunken_rectangle_area,
 )
+from repro.core.operator import build_disk_operator
 from repro.core.postprocess import (
     adaptive_smoothing_strength,
     expectation_maximization,
@@ -163,12 +159,11 @@ class DiscreteHUEM(TransitionMatrixMechanism):
             masses = huem_cell_masses_fan_rings(self.b_hat, self.epsilon)
         else:
             masses = huem_cell_masses(self.b_hat, self.epsilon, subsamples=subsamples)
-        operator = _build_backend_operator(backend, grid, self.b_hat, masses)
+        operator = build_disk_operator(grid, self.b_hat, masses)
         if backend == "dense":
             self._set_transition(operator.to_dense())
         else:
             self._set_operator(operator)
-        self.kernel_build = operator.kernel_build if backend == "native" else None
         self.output_domain = DiskOutputDomain(
             d=grid.d, b_hat=self.b_hat, cells=operator.output_cells
         )

@@ -20,19 +20,12 @@ from repro.utils.validation import check_positive, check_probability_matrix
 
 @dataclass(frozen=True)
 class EMResult:
-    """Outcome of an EM run: the estimate, iterations used and final log-likelihood.
-
-    ``kernel`` records which native kernel (``"numba/float64"``,
-    ``"fft/float32"``, ...) ran the fused iteration loop, or ``None`` for the
-    plain operator/dense path — the breadcrumb that makes backend selection
-    auditable from result metadata alone.
-    """
+    """Outcome of an EM run: the estimate, iterations used and final log-likelihood."""
 
     estimate: np.ndarray
     iterations: int
     log_likelihood: float
     converged: bool
-    kernel: str | None = None
 
 
 def expectation_maximization(
@@ -43,7 +36,6 @@ def expectation_maximization(
     tolerance: float = 1e-9,
     initial: np.ndarray | None = None,
     smoothing=None,
-    kernel="auto",
 ) -> EMResult:
     """Maximum-likelihood estimate of the input distribution via EM.
 
@@ -55,7 +47,8 @@ def expectation_maximization(
         output ``j``, or any structured operator implementing the
         ``shape``/``forward``/``backward`` protocol of
         :class:`repro.core.operator.DiskTransitionOperator`.  The structured form
-        runs each iteration in ``O(d^2 * k)`` instead of ``O(d^2 * m)``.
+        runs each iteration as sparse or FFT matvecs instead of ``O(d^2 * m)``
+        dense matmuls.
     noisy_counts:
         Length ``n_out`` histogram of observed reports.
     max_iterations, tolerance:
@@ -66,12 +59,6 @@ def expectation_maximization(
     smoothing:
         Optional callable applied to the estimate after each M-step (the "S" in EMS);
         see :func:`make_grid_smoother`.
-    kernel:
-        ``"auto"`` (default) runs the fused, buffer-reusing iteration loop when
-        ``transition`` carries a native EM kernel (an ``em_kernel`` attribute —
-        :class:`repro.kernels.NativeDiskOperator` under ``backend="native"``);
-        pass an explicit :class:`repro.kernels.em.EMKernel` to force one, or
-        ``None`` to force the plain per-iteration matvec loop.
 
     Returns
     -------
@@ -85,12 +72,6 @@ def expectation_maximization(
 
         operator = DenseTransitionOperator(
             check_probability_matrix(transition, name="transition")
-        )
-    em_kernel = getattr(operator, "em_kernel", None) if kernel == "auto" else kernel
-    if em_kernel is not None and em_kernel.n_outputs != operator.shape[1]:
-        raise ValueError(
-            f"kernel answers {em_kernel.n_outputs} outputs but the transition "
-            f"has {operator.shape[1]}"
         )
     n_in, n_out = operator.shape
     counts = np.asarray(noisy_counts, dtype=float).reshape(-1)
@@ -110,44 +91,28 @@ def expectation_maximization(
     theta = np.clip(theta, 1e-15, None)
     theta = theta / theta.sum()
 
-    if em_kernel is not None:
-
-        def em_step(current: np.ndarray) -> np.ndarray:
-            # Fused path: E-step, overflow-guarded ratio, M-step, clip and
-            # normalise all run on the kernel's preallocated double buffers.
-            return em_kernel.em_step(current, counts)
-
-        forward = em_kernel.forward
-    else:
-
-        def em_step(current: np.ndarray) -> np.ndarray:
-            # E-step: predicted probability of each output under the current
-            # estimate.
-            predicted = np.clip(operator.forward(current), 1e-300, None)
-            # A count on an output the current estimate gives (clipped) zero
-            # mass overflows `counts / predicted` to inf, which the backward
-            # matvec turns into NaN (0 * inf) and the normalisation spreads
-            # everywhere.  Rescaling the numerator by its max keeps the ratio
-            # finite and cancels in the final normalisation; the well-conditioned
-            # path is untouched (bit-preserved — asserted in the tests).
-            with np.errstate(over="ignore"):
-                ratio = counts / predicted
-            if not np.isfinite(ratio).all():
-                ratio = (counts / counts.max()) / predicted
-            # M-step: redistribute observed counts back over input cells.  The
-            # classical responsibility form `(T * theta / predicted) @ counts`
-            # factorises into a single backward matvec, which is what makes the
-            # structured path O(d^2 * k).
-            new = current * operator.backward(ratio)
-            new = np.clip(new, 0.0, None)
-            return new / new.sum()
-
-        forward = operator.forward
-
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        new_theta = em_step(theta)
+        # E-step: predicted probability of each output under the current estimate.
+        predicted = np.clip(operator.forward(theta), 1e-300, None)
+        # A count on an output the current estimate gives (clipped) zero mass
+        # overflows `counts / predicted` to inf, which the backward matvec turns
+        # into NaN (0 * inf) and the normalisation spreads everywhere.  Rescaling
+        # the numerator by its max keeps the ratio finite and cancels in the final
+        # normalisation; the well-conditioned path is untouched (bit-preserved —
+        # asserted in the tests).
+        with np.errstate(over="ignore"):
+            ratio = counts / predicted
+        if not np.isfinite(ratio).all():
+            ratio = (counts / counts.max()) / predicted
+        # M-step: redistribute observed counts back over input cells.  The
+        # classical responsibility form `(T * theta / predicted) @ counts`
+        # factorises into a single backward matvec, which is what lets the
+        # structured operator skip the dense matrix.
+        new_theta = theta * operator.backward(ratio)
+        new_theta = np.clip(new_theta, 0.0, None)
+        new_theta = new_theta / new_theta.sum()
         if smoothing is not None:
             new_theta = smoothing(new_theta)
             new_theta = np.clip(new_theta, 0.0, None)
@@ -157,20 +122,15 @@ def expectation_maximization(
         if change < tolerance:
             converged = True
             break
-    if em_kernel is not None:
-        # The fused loop hands out one of the kernel's double buffers; detach the
-        # estimate so the next solve on the same kernel cannot overwrite it.
-        theta = np.array(theta, dtype=float)
     # The log-likelihood is only reported, never used for convergence, so computing
     # it once on the final estimate (one extra forward matvec) instead of every
     # iteration halves the per-iteration cost of the loop above.
-    log_likelihood = float(counts @ np.log(np.clip(forward(theta), 1e-300, None)))
+    log_likelihood = float(counts @ np.log(np.clip(operator.forward(theta), 1e-300, None)))
     return EMResult(
         estimate=theta,
         iterations=iterations,
         log_likelihood=log_likelihood,
         converged=converged,
-        kernel=em_kernel.build.describe() if em_kernel is not None else None,
     )
 
 

@@ -14,7 +14,8 @@ mechanisms actually react to:
 Every mechanism consumes nothing but a point cloud inside a bounding box, so a
 surrogate with the same multi-cluster, strongly skewed shape preserves the relative
 ordering of the mechanisms' Wasserstein errors, which is what the evaluation reproduces
-(absolute values are not expected to match — see DESIGN.md).
+(absolute values are not expected to match: the points are surrogates, not the
+published data).
 """
 
 from __future__ import annotations

@@ -132,8 +132,8 @@ def mnormal_dataset(
     Three equal-sized Gaussian clusters with correlations ``0.5, 0, -0.2``.  The paper
     lists all three components with mean ``(0, 0)`` yet calls the dataset
     "multi-center" and reports a wider range than a single standard Gaussian, so the
-    reproduction separates the cluster centres (configurable via ``centers``); the
-    substitution is recorded in DESIGN.md.
+    reproduction substitutes separated cluster centres (``centers``) for the common
+    mean the paper lists.
     """
     if len(centers) != len(rhos):
         raise ValueError("centers and rhos must have the same length")

@@ -13,12 +13,6 @@ SHA-256 digest of a canonical JSON rendering of *all* result-affecting parameter
 
 Execution-only knobs (worker count, cache directory itself) must never enter the key:
 cells are bit-reproducible across worker counts, and the cache relies on that.
-
-Environment-dependent *numerics* are the flip side of that rule: a backend whose
-kernel selection depends on the host (the native tier compiles numba where it
-imports and falls back to FFT elsewhere) must fold the selected kernel's signature
-(:func:`repro.kernels.native_kernel_signature`) into the key, so results computed
-under one kernel are never replayed as another's.
 """
 
 from __future__ import annotations

@@ -69,11 +69,9 @@ class ExperimentConfig:
         laptop runs); ``None`` disables the cap.
     backend:
         Transition backend for the disk mechanisms: ``"operator"`` (default) uses the
-        structured :class:`~repro.core.operator.DiskTransitionOperator` engine,
-        ``"dense"`` the materialised matrix (ablations / cross-checks), ``"native"``
-        the :mod:`repro.kernels` tier (fused stencil-convolution EM; the kernel that
-        actually ran — numba or FFT — is environment-dependent, so it is folded into
-        the result-cache key).
+        structured :class:`~repro.core.operator.DiskTransitionOperator` engine (its
+        sparse or FFT EM matvecs are chosen by grid and disk size, the same on every
+        host), ``"dense"`` the materialised matrix (ablations / cross-checks).
     workers:
         Process-pool size used by :func:`~repro.experiments.runner.sweep_parameter`
         to fan sweep cells out; ``1`` (default) runs serially.  Execution-only: the

@@ -612,18 +612,8 @@ def _cell_cache_key(cell: SweepCell, config: ExperimentConfig) -> str:
     """Content address of one cell: every result-affecting parameter, nothing else.
 
     ``workers`` and ``cache_dir`` are deliberately excluded — they change how a
-    number is computed, never which number comes out.  The native tier is the
-    one exception to "backend is just a string": which kernel it builds (numba
-    vs FFT, accumulation dtype) depends on the environment, so its signature is
-    folded in — a cache written where numba compiled is not replayed where it
-    did not.
+    number is computed, never which number comes out.
     """
-    if config.backend == "native":
-        from repro.kernels import native_kernel_signature
-
-        native_kernel = native_kernel_signature()
-    else:
-        native_kernel = None
     return cache_key(
         {
             "kind": "sweep-cell",
@@ -643,7 +633,6 @@ def _cell_cache_key(cell: SweepCell, config: ExperimentConfig) -> str:
             "calibrate_sem": config.calibrate_sem,
             "max_users_per_part": config.max_users_per_part,
             "backend": config.backend,
-            "native_kernel": native_kernel,
             "metric": cell.metric,
             "range_query_workload": (
                 (RANGE_QUERY_WORKLOAD_SIZE, RANGE_QUERY_FRACTIONS)

@@ -70,9 +70,6 @@ class EpochUpdate:
     slide_seconds: float
     #: wall-clock seconds spent in the warm-started EM re-solve
     solve_seconds: float
-    #: which EM kernel ran the re-solve (``"numba/float64"``-style tag from the
-    #: native tier, ``None`` for the plain operator/dense matvec loop)
-    kernel: str | None = None
 
 
 class StreamingEstimationService:
@@ -278,7 +275,6 @@ class StreamingEstimationService:
             privatize_seconds=privatize_seconds,
             slide_seconds=slide_seconds,
             solve_seconds=solve_seconds,
-            kernel=result.kernel,
         )
 
     def warm_initial(self) -> np.ndarray | None:

@@ -18,7 +18,8 @@ ROADMAP's production-scale trajectory workloads.  This module is the scaled path
 * :meth:`TrajectoryEngine.synthesize` replaces the per-step walk with a batched Markov
   walk: all length buckets, start cells and direction matrices are drawn in
   whole-array operations (pad-to-max-length, then mask); the only remaining loop is
-  over time steps, each a vectorised update of every trajectory at once.
+  over time steps, each one contiguous update of every trajectory at once
+  (:func:`batched_walk`: time-major layout, int32 positions, int8 steps).
 
 The seed loops survive as ``fit_reference`` / ``synthesize_reference`` and back the
 differential tests in ``tests/trajectory/test_trajectory_engine.py``: estimates from merged
@@ -31,11 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Literal
 
 import numpy as np
 
-from repro.core.backend import WALK_BACKENDS, resolve_backend
 from repro.core.domain import GridSpec, SpatialDomain, stack_trajectory_cells
 from repro.core.parallel import run_sharded
 from repro.core.postprocess import sanitize_probability_vector
@@ -47,18 +46,70 @@ from repro.utils.rng import ensure_rng, spawn_seed_sequences
 #: overhead (pickling the shard, three oracle calls) stays negligible.
 DEFAULT_TRAJECTORY_SHARD_SIZE = 2048
 
-#: Row/column steps of each direction index, vectorised lookup tables for the walk.
-_DIR_ROW_STEPS = np.array([step[0] for step in DIRECTIONS], dtype=np.int64)
-_DIR_COL_STEPS = np.array([step[1] for step in DIRECTIONS], dtype=np.int64)
-# int8 copies for the native walk kernel (steps are always in {-1, 0, 1}).
-_DIR_ROW_STEPS_NARROW = _DIR_ROW_STEPS.astype(np.int8)
-_DIR_COL_STEPS_NARROW = _DIR_COL_STEPS.astype(np.int8)
+#: Row/column steps of each direction index, vectorised lookup tables for the walk
+#: (int8: steps are always in {-1, 0, 1}).
+_DIR_ROW_STEPS = np.array([step[0] for step in DIRECTIONS], dtype=np.int8)
+_DIR_COL_STEPS = np.array([step[1] for step in DIRECTIONS], dtype=np.int8)
 
-#: Synthesis backends: ``"operator"`` is the whole-array numpy walk this module
-#: introduced; ``"native"`` routes the walk through :mod:`repro.kernels.walk`
-#: (time-major layout, narrow dtypes, optional numba loop) — bit-identical
-#: trajectories, same RNG consumption, less memory traffic per step.
-WalkBackend = Literal["operator", "native"]
+
+def inverse_cdf_draws(
+    rng: np.random.Generator,
+    probabilities: np.ndarray,
+    shape,
+    *,
+    dtype=np.int64,
+) -> np.ndarray:
+    """Inverse-CDF categorical draws, clipped into range.
+
+    Consumes exactly ``rng.random(shape)``; ``dtype`` narrows the indices without
+    changing any value.
+    """
+    cumulative = np.cumsum(probabilities)
+    draws = np.searchsorted(cumulative, rng.random(shape), side="right")
+    indices = draws.astype(dtype, copy=False)
+    np.clip(indices, 0, probabilities.shape[0] - 1, out=indices)
+    return indices
+
+
+def batched_walk(
+    start_cells: np.ndarray,
+    step_rows: np.ndarray,
+    step_cols: np.ndarray,
+    d: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the clipped batched Markov walk in time-major layout.
+
+    Parameters
+    ----------
+    start_cells:
+        Flat start cell of each of the ``n`` trajectories.
+    step_rows, step_cols:
+        ``(n, max_steps)`` per-step row/column increments in ``{-1, 0, 1}``
+        (any integer dtype; they are squeezed to int8 internally).
+    d:
+        Grid side length; positions are clipped into ``[0, d - 1]``.
+
+    Returns
+    -------
+    ``(rows, cols)`` — **time-major** ``(max_steps + 1, n)`` int32 position arrays
+    (``rows[t]`` is one contiguous step); transpose for the trajectory-major view.
+    Each step is one contiguous pass over narrow dtypes, so the walk moves a
+    fraction of the bytes a trajectory-major int64 walk does, with the same values.
+    """
+    n = int(start_cells.shape[0])
+    max_steps = int(step_rows.shape[1])
+    rows = np.empty((max_steps + 1, n), dtype=np.int32)
+    cols = np.empty((max_steps + 1, n), dtype=np.int32)
+    np.floor_divide(start_cells, d, out=rows[0], casting="unsafe")
+    np.remainder(start_cells, d, out=cols[0], casting="unsafe")
+    drow = np.ascontiguousarray(step_rows.T, dtype=np.int8)
+    dcol = np.ascontiguousarray(step_cols.T, dtype=np.int8)
+    for t in range(max_steps):
+        np.add(rows[t], drow[t], out=rows[t + 1], casting="unsafe")
+        np.clip(rows[t + 1], 0, d - 1, out=rows[t + 1])
+        np.add(cols[t], dcol[t], out=cols[t + 1], casting="unsafe")
+        np.clip(cols[t + 1], 0, d - 1, out=cols[t + 1])
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -225,11 +276,8 @@ class TrajectoryEngine:
     or with :meth:`TrajectoryEngine.build` from grid parameters.
     """
 
-    def __init__(self, mechanism: LDPTrace, *, backend: WalkBackend = "operator") -> None:
+    def __init__(self, mechanism: LDPTrace) -> None:
         self.mechanism = mechanism
-        self.backend = resolve_backend(
-            backend, allowed=WALK_BACKENDS, what="trajectory backend"
-        )
 
     @classmethod
     def build(
@@ -239,11 +287,9 @@ class TrajectoryEngine:
         *,
         n_length_buckets: int = 10,
         max_length: int = 200,
-        backend: WalkBackend = "operator",
     ) -> "TrajectoryEngine":
         return cls(
-            LDPTrace(grid, epsilon, n_length_buckets=n_length_buckets, max_length=max_length),
-            backend=backend,
+            LDPTrace(grid, epsilon, n_length_buckets=n_length_buckets, max_length=max_length)
         )
 
     # ------------------------------------------------------------- conveniences
@@ -429,8 +475,8 @@ class TrajectoryEngine:
         indices are drawn up front (inverse-CDF ``searchsorted`` over the sanitized
         model distributions, padded to the maximum drawn length); the walk itself is
         one vectorised clip-and-step update per time step over every trajectory at
-        once, and the final cell-to-point jitter is a single uniform block over the
-        masked (valid) positions.
+        once (:func:`batched_walk`), and the final cell-to-point jitter is a single
+        uniform block over the masked (valid) positions.
         """
         rng = ensure_rng(seed)
         if n_trajectories < 0:
@@ -460,37 +506,9 @@ class TrajectoryEngine:
 
         # Direction matrix: every step of every trajectory, padded to max length.
         max_steps = int(lengths.max()) - 1
-        if self.backend == "native":
-            # Same inverse-CDF draw (identical RNG consumption), int8 steps and
-            # a time-major int32 walk — bit-identical positions, less bandwidth.
-            from repro.kernels.walk import batched_walk, inverse_cdf_draws
-
-            step_idx = inverse_cdf_draws(
-                rng, direction_probs, (n, max_steps), dtype=np.int16
-            )
-            rows_t, cols_t = batched_walk(
-                cells0,
-                _DIR_ROW_STEPS_NARROW[step_idx],
-                _DIR_COL_STEPS_NARROW[step_idx],
-                d,
-            )
-            rows, cols = rows_t.T, cols_t.T
-        else:
-            step_idx = np.searchsorted(
-                np.cumsum(direction_probs), rng.random((n, max_steps)), side="right"
-            )
-            np.clip(step_idx, 0, len(DIRECTIONS) - 1, out=step_idx)
-            drow = _DIR_ROW_STEPS[step_idx]
-            dcol = _DIR_COL_STEPS[step_idx]
-
-            # The batched walk: one clipped vector update of all trajectories per step.
-            rows = np.empty((n, max_steps + 1), dtype=np.int64)
-            cols = np.empty((n, max_steps + 1), dtype=np.int64)
-            rows[:, 0] = cells0 // d
-            cols[:, 0] = cells0 % d
-            for t in range(max_steps):
-                np.clip(rows[:, t] + drow[:, t], 0, d - 1, out=rows[:, t + 1])
-                np.clip(cols[:, t] + dcol[:, t], 0, d - 1, out=cols[:, t + 1])
+        step_idx = inverse_cdf_draws(rng, direction_probs, (n, max_steps), dtype=np.int16)
+        rows_t, cols_t = batched_walk(cells0, _DIR_ROW_STEPS[step_idx], _DIR_COL_STEPS[step_idx], d)
+        rows, cols = rows_t.T, cols_t.T
 
         # Mask the padding, jitter every valid cell uniformly, split per trajectory.
         mask = np.arange(max_steps + 1)[None, :] < lengths[:, None]

@@ -1,21 +1,20 @@
 """``resolve_backend``: one validation gate for every ``backend=`` entry point.
 
 The regression being pinned: backend validation used to be duplicated across
-DAM / DAM-NS / HUEM / ``TrajectoryEngine`` / the CLI, so adding a backend (or
-improving the error) meant five edits.  Now every entry point must route
-through :func:`repro.core.resolve_backend` — each raises the same ValueError
-naming the valid backends — and the CLI's argparse ``choices`` are the same
-tuples, so the vocabularies cannot drift.
+DAM / DAM-NS / HUEM / the CLI, so changing the vocabulary (or improving the
+error) meant several edits.  Now every entry point must route through
+:func:`repro.core.resolve_backend` — each raises the same ValueError naming the
+valid backends — and the CLI's argparse ``choices`` are the same tuple, so the
+vocabularies cannot drift.
 """
 
 import pytest
 
 from repro.cli import build_parser
-from repro.core import VALID_BACKENDS, WALK_BACKENDS, resolve_backend
+from repro.core import VALID_BACKENDS, resolve_backend
 from repro.core.dam import DiscreteDAM, DiscreteDAMNoShrink
 from repro.core.domain import GridSpec
 from repro.core.huem import DiscreteHUEM
-from repro.trajectory.engine import TrajectoryEngine
 
 GRID = GridSpec.unit(5)
 
@@ -24,19 +23,12 @@ class TestResolveBackend:
     def test_valid_backends_pass_through(self):
         for backend in VALID_BACKENDS:
             assert resolve_backend(backend) == backend
-        for backend in WALK_BACKENDS:
-            assert resolve_backend(backend, allowed=WALK_BACKENDS) == backend
 
     def test_error_lists_valid_backends(self):
         with pytest.raises(ValueError) as error:
             resolve_backend("gpu")
         assert "unknown backend 'gpu'" in str(error.value)
-        assert "operator, dense, native" in str(error.value)
-
-    def test_walk_backends_exclude_dense(self):
-        assert "dense" in VALID_BACKENDS
-        with pytest.raises(ValueError, match="operator, native"):
-            resolve_backend("dense", allowed=WALK_BACKENDS, what="trajectory backend")
+        assert "operator, dense" in str(error.value)
 
     @pytest.mark.parametrize(
         "build",
@@ -46,20 +38,11 @@ class TestResolveBackend:
                 lambda: DiscreteDAMNoShrink(GRID, 2.0, backend="gpu"), id="dam-ns"
             ),
             pytest.param(lambda: DiscreteHUEM(GRID, 2.0, backend="gpu"), id="huem"),
-            pytest.param(
-                lambda: TrajectoryEngine.build(GRID, 2.0, backend="gpu"),
-                id="trajectory",
-            ),
         ],
     )
     def test_every_entry_point_rejects_unknown_backend(self, build):
         with pytest.raises(ValueError, match="valid backends:"):
             build()
-
-    def test_trajectory_engine_rejects_dense(self):
-        """The walk has no dense tier; the mechanism vocabulary must not leak in."""
-        with pytest.raises(ValueError, match="unknown trajectory backend 'dense'"):
-            TrajectoryEngine.build(GRID, 2.0, backend="dense")
 
     @pytest.mark.parametrize("command", ["estimate", "query", "stream", "serve"])
     def test_cli_backend_choices_are_the_shared_tuple(self, command, capsys):
@@ -70,8 +53,3 @@ class TestResolveBackend:
         assert "invalid choice: 'gpu'" in message
         for backend in VALID_BACKENDS:
             assert backend in message
-
-    def test_cli_trajectory_choices_are_the_walk_tuple(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trajectory", "--backend", "dense"])
-        assert "invalid choice: 'dense'" in capsys.readouterr().err

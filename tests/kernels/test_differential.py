@@ -1,11 +1,16 @@
-"""Differential parity suite: native vs operator vs dense, property-based.
+"""Differential parity suite: each fast path against the reference it replaces.
 
-The contract of ``backend="native"`` is *numerical indistinguishability*: the
-sampler and the trajectory walk must be **bit-identical** to the operator
-backend (exact integer order statistics, same RNG consumption), and the EM
-matvecs must agree with both the operator and the dense matrix to the float64
-rounding floor.  Domains come from :mod:`strategies` and include the
-planet-scale coordinate offsets where float conditioning is worst.
+* the disk operator's two EM matvec sides (sparse delta matrix and FFT stencil
+  convolution) agree with the dense matrix they represent to the float64
+  rounding floor, and so do fixed-iteration EM solves on each side;
+* the whole-batch bisection of the disk sampler is **bit-identical** to one
+  ``searchsorted`` per background draw (exact integer order statistics);
+* the time-major narrow-dtype walk of trajectory synthesis is **bit-identical**
+  to a trajectory-major int64 clip loop, and its inverse-CDF step draw consumes
+  the same uniforms as a plain ``searchsorted``.
+
+Domains come from :mod:`strategies` and include the planet-scale coordinate
+offsets where float conditioning is worst.
 """
 
 from __future__ import annotations
@@ -21,15 +26,9 @@ from repro.core.dam import DiscreteDAM
 from repro.core.domain import GridSpec
 from repro.core.geometry import disk_offset_array
 from repro.core.huem import DiscreteHUEM
-from repro.core.operator import build_disk_operator
+from repro.core.operator import background_rank_map, build_disk_operator
 from repro.core.postprocess import expectation_maximization
-from repro.kernels import (
-    background_rank_map,
-    build_native_operator,
-    inverse_cdf_draws,
-    numba_available,
-)
-from repro.trajectory.engine import TrajectoryEngine
+from repro.trajectory.engine import batched_walk, inverse_cdf_draws
 
 SLOW_SETTINGS = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -51,53 +50,70 @@ class TestEMParity:
         strategies.seeds(),
     )
     @SLOW_SETTINGS
-    def test_native_vs_operator_vs_dense_estimates(self, d, epsilon, b_hat, seed):
+    def test_fft_vs_sparse_vs_dense_estimates(self, d, epsilon, b_hat, seed):
         grid = GridSpec.unit(d)
-        masses = _dam_masses(b_hat, epsilon)
-        operator = build_disk_operator(grid, b_hat, masses)
-        native = build_native_operator(grid, b_hat, masses)
+        operator = build_disk_operator(grid, b_hat, _dam_masses(b_hat, epsilon))
+        dense = operator.to_dense()
+        # Grids this small fall on the sparse side of the rule, so the FFT side is
+        # called directly below, and EM is put on it through the side flag.
+        assert not operator._fft_side
         rng = np.random.default_rng(seed)
+        theta = rng.dirichlet(np.ones(operator.n_inputs))
+        weights = rng.random(operator.n_outputs)
+        for forward, backward in (
+            (operator._sparse_forward, operator._sparse_backward),
+            (operator._fft_forward, operator._fft_backward),
+        ):
+            np.testing.assert_allclose(forward(theta), theta @ dense, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(
+                backward(weights), dense @ weights, rtol=0, atol=1e-12 * weights.sum()
+            )
+
         cells = rng.integers(0, grid.n_cells, 3000)
         counts = np.bincount(
             operator.sample(cells, rng), minlength=operator.n_outputs
         ).astype(float)
         kwargs = dict(max_iterations=50, tolerance=0.0)
-        via_native = expectation_maximization(native, counts, **kwargs)
-        via_operator = expectation_maximization(operator, counts, **kwargs)
-        via_dense = expectation_maximization(operator.to_dense(), counts, **kwargs)
+        via_sparse = expectation_maximization(operator, counts, **kwargs)
+        operator._fft_side = True
+        via_fft = expectation_maximization(operator, counts, **kwargs)
+        via_dense = expectation_maximization(dense, counts, **kwargs)
         # Calibrated tolerance: ~1e-15 relative per matvec, amplified across 50
         # multiplicative EM iterations — 1e-9 absolute on a unit-sum estimate
         # leaves two orders of margin over the worst observed drift.
-        np.testing.assert_allclose(
-            via_native.estimate, via_operator.estimate, rtol=0, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            via_native.estimate, via_dense.estimate, rtol=0, atol=1e-9
-        )
-        assert via_native.kernel == native.kernel_build.describe()
-        assert via_operator.kernel is None
+        np.testing.assert_allclose(via_fft.estimate, via_sparse.estimate, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(via_fft.estimate, via_dense.estimate, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("mechanism_cls", [DiscreteDAM, DiscreteHUEM])
     def test_mechanism_backend_estimates_agree(self, mechanism_cls):
-        grid = GridSpec.unit(6)
-        via_native = mechanism_cls(grid, 3.5, b_hat=2, backend="native")
-        via_operator = mechanism_cls(grid, 3.5, b_hat=2, backend="operator")
-        counts = np.zeros(via_native.output_domain_size())
-        counts[: grid.n_cells] = np.random.default_rng(3).integers(0, 50, grid.n_cells)
-        a = via_native.estimate(counts, int(counts.sum()))
-        b = via_operator.estimate(counts, int(counts.sum()))
+        """The public path above the rule's threshold (FFT side) against dense."""
+        grid = GridSpec.unit(20)
+        via_operator = mechanism_cls(grid, 1.4, backend="operator")
+        via_dense = mechanism_cls(grid, 1.4, backend="dense")
+        assert via_operator.operator._fft_side
+        cells = np.random.default_rng(3).integers(0, grid.n_cells, 20_000)
+        counts = via_operator.aggregate(via_operator.privatize_cells(cells, seed=4))
+        a = via_operator.estimate(counts, int(counts.sum()))
+        b = via_dense.estimate(counts, int(counts.sum()))
         np.testing.assert_allclose(a.flat(), b.flat(), rtol=0, atol=1e-9)
 
-    def test_native_backend_records_its_kernel(self):
-        mech = DiscreteDAM(GridSpec.unit(5), 2.5, b_hat=2, backend="native")
-        assert mech.kernel_build is not None
-        if numba_available():
-            assert mech.kernel_build.kind == "numba"
-        else:
-            # Clean fallback, with the reason on record — never a hard failure.
-            assert mech.kernel_build.kind == "fft"
-            assert "numba" in mech.kernel_build.fallback_reason
-        assert DiscreteDAM(GridSpec.unit(5), 2.5, b_hat=2).kernel_build is None
+
+def _reference_sample(operator, cells, rng):
+    """:meth:`DiskTransitionOperator.sample` with one ``searchsorted`` per background draw."""
+    u = rng.random(cells.shape[0])
+    special_mass = float(operator._cum_values[-1])
+    in_disk = u < special_mass
+    j = np.searchsorted(operator._cum_values, u[in_disk], side="right")
+    np.clip(j, 0, operator.n_offsets - 1, out=j)
+    reports = np.empty(cells.shape[0], dtype=np.int64)
+    reports[in_disk] = operator._out_indices[j, cells[in_disk]]
+    rank = ((u[~in_disk] - special_mass) / operator.background).astype(np.int64)
+    np.clip(rank, 0, operator.n_outputs - operator.n_offsets - 1, out=rank)
+    reports[~in_disk] = [
+        r + np.searchsorted(operator._rank_shift[:, cell], r, side="right")
+        for cell, r in zip(cells[~in_disk], rank)
+    ]
+    return reports
 
 
 class TestSamplerParity:
@@ -109,13 +125,10 @@ class TestSamplerParity:
     )
     @SLOW_SETTINGS
     def test_reports_bit_identical_to_operator(self, d, epsilon, b_hat, seed):
-        grid = GridSpec.unit(d)
-        masses = _dam_masses(b_hat, epsilon)
-        operator = build_disk_operator(grid, b_hat, masses)
-        native = build_native_operator(grid, b_hat, masses)
-        cells = np.random.default_rng(seed).integers(0, grid.n_cells, 5000)
+        operator = build_disk_operator(GridSpec.unit(d), b_hat, _dam_masses(b_hat, epsilon))
+        cells = np.random.default_rng(seed).integers(0, operator.n_inputs, 5000)
         a = operator.sample(cells, np.random.default_rng(seed + 1))
-        b = native.sample(cells, np.random.default_rng(seed + 1))
+        b = _reference_sample(operator, cells, np.random.default_rng(seed + 1))
         np.testing.assert_array_equal(a, b)
 
     @given(strategies.seeds())
@@ -148,23 +161,26 @@ class TestSamplerParity:
 
 
 class TestWalkParity:
-    @given(strategies.domains(), strategies.seeds())
+    @given(strategies.grid_sides(1, 12), strategies.seeds())
     @SLOW_SETTINGS
-    def test_synthesis_bit_identical_across_backends(self, domain, seed):
-        grid = GridSpec(domain, 10)
-        via_operator = TrajectoryEngine.build(grid, 2.0, max_length=20)
-        via_native = TrajectoryEngine.build(grid, 2.0, max_length=20, backend="native")
+    def test_batched_walk_matches_int64_clip_loop(self, d, seed):
         rng = np.random.default_rng(seed)
-        trajectories = [
-            domain.denormalise(rng.random((int(rng.integers(2, 15)), 2)))
-            for _ in range(50)
-        ]
-        model = via_operator.fit(trajectories, seed=seed)
-        a = via_operator.synthesize(model, 200, seed=seed + 1)
-        b = via_native.synthesize(model, 200, seed=seed + 1)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        n, max_steps = 300, 25
+        start_cells = rng.integers(0, d * d, n)
+        step_rows = rng.integers(-1, 2, (n, max_steps))
+        step_cols = rng.integers(-1, 2, (n, max_steps))
+        rows = np.empty((n, max_steps + 1), dtype=np.int64)
+        cols = np.empty((n, max_steps + 1), dtype=np.int64)
+        rows[:, 0] = start_cells // d
+        cols[:, 0] = start_cells % d
+        for t in range(max_steps):
+            np.clip(rows[:, t] + step_rows[:, t], 0, d - 1, out=rows[:, t + 1])
+            np.clip(cols[:, t] + step_cols[:, t], 0, d - 1, out=cols[:, t + 1])
+
+        rows_t, cols_t = batched_walk(start_cells, step_rows, step_cols, d)
+        assert rows_t.shape == cols_t.shape == (max_steps + 1, n)
+        np.testing.assert_array_equal(rows_t.T, rows)
+        np.testing.assert_array_equal(cols_t.T, cols)
 
     @given(strategies.seeds())
     @SLOW_SETTINGS
@@ -181,7 +197,3 @@ class TestWalkParity:
         )
         assert drawn.dtype == np.int16
         np.testing.assert_array_equal(drawn, reference)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            TrajectoryEngine.build(GridSpec.unit(5), 2.0, backend="gpu")

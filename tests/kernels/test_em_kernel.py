@@ -1,10 +1,10 @@
-"""Unit tests for repro.kernels.em — the stencil-convolution EM kernel.
+"""Unit tests of the disk operator's EM matvec sides and the rule that picks one.
 
-The kernel must be a numerical drop-in for the structured operator's matvecs
-(parity at the float64 rounding floor), allocation-free across calls (the same
-preallocated buffers come back), safe to alternate in the fused EM loop (the
-double buffer never aliases its input) and honest about what it built
-(:class:`KernelBuild` records the numba-vs-FFT selection and why).
+Every disk operator runs its EM matvecs on one of two sides: one sparse delta
+matrix, or an FFT convolution with the offset stencil.  The side is a pure
+function of shape (``d^2 * k`` against :data:`FFT_MIN_ENTRIES`), never of a
+timing, so one operator — pickled to a worker or not — always gives the same
+bits.  Both sides must agree to the float64 rounding floor.
 """
 
 from __future__ import annotations
@@ -15,17 +15,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.dam import DiscreteDAM
 from repro.core.domain import GridSpec
 from repro.core.geometry import disk_offset_array
-from repro.core.operator import build_disk_operator
+from repro.core.operator import FFT_MIN_ENTRIES, DiskTransitionOperator, build_disk_operator
 from repro.core.postprocess import expectation_maximization
-from repro.kernels import (
-    EMKernel,
-    build_native_operator,
-    native_kernel_signature,
-    numba_available,
-)
-from repro.kernels.em import _next_fast_len
 
 
 def _dam_masses(b_hat: int, epsilon: float) -> np.ndarray:
@@ -39,218 +33,108 @@ def _operator(d: int = 12, b_hat: int = 3, epsilon: float = 3.5):
     return build_disk_operator(GridSpec.unit(d), b_hat, _dam_masses(b_hat, epsilon))
 
 
-class TestNextFastLen:
-    def test_small_values_are_minimal_5_smooth(self):
-        def is_5_smooth(n: int) -> bool:
-            for p in (2, 3, 5):
-                while n % p == 0:
-                    n //= p
-            return n == 1
+class TestSideRule:
+    @pytest.mark.parametrize("d,fft_side", [(16, False), (64, True)])
+    def test_side_is_a_function_of_shape(self, d, fft_side):
+        operator = DiscreteDAM(GridSpec.unit(d), 3.5).operator
+        entries = operator.n_inputs * operator.n_offsets
+        assert (entries >= FFT_MIN_ENTRIES) is fft_side
+        assert operator._fft_side is fft_side
+        # A second build of the same shape takes the same side.
+        assert DiscreteDAM(GridSpec.unit(d), 3.5).operator._fft_side is fft_side
 
-        for n in range(1, 400):
-            fast = _next_fast_len(n)
-            assert fast >= n
-            assert is_5_smooth(fast)
-            # Minimal: nothing 5-smooth lives in [n, fast).
-            assert not any(is_5_smooth(m) for m in range(n, fast))
-
-    def test_degenerate_inputs(self):
-        assert _next_fast_len(0) == 1
-        assert _next_fast_len(1) == 1
-
-
-class TestKernelBuild:
-    def test_numpy_jit_forces_fft_without_fallback(self):
-        kernel = EMKernel(_operator(), jit="numpy")
-        assert kernel.build.kind == "fft"
-        assert kernel.build.jit == "numpy"
-        assert kernel.build.fallback_reason is None
-        assert kernel.build.describe() == "fft/float64"
-
-    def test_auto_selection_matches_environment(self):
-        kernel = EMKernel(_operator(), jit="auto")
-        if numba_available():
-            assert kernel.build.kind == "numba"
-            assert kernel.build.fallback_reason is None
-        else:
-            # The fallback is clean *and* recorded — the satellite requirement.
-            assert kernel.build.kind == "fft"
-            assert "numba" in kernel.build.fallback_reason
-
-    def test_explicit_numba_request_falls_back_cleanly_when_absent(self):
-        kernel = EMKernel(_operator(), jit="numba")
-        if not numba_available():
-            assert kernel.build.kind == "fft"
-            assert "numba" in kernel.build.fallback_reason
-        # Either way the kernel must answer.
-        theta = np.full(kernel.n_inputs, 1.0 / kernel.n_inputs)
-        assert np.isfinite(kernel.forward(theta)).all()
-
-    def test_signature_matches_a_fresh_build(self):
-        assert native_kernel_signature() == EMKernel(_operator()).build.describe()
-
-    def test_invalid_modes_rejected(self):
-        with pytest.raises(ValueError, match="accumulate"):
-            EMKernel(_operator(), accumulate="float16")
-        with pytest.raises(ValueError, match="jit"):
-            EMKernel(_operator(), jit="cuda")
-        with pytest.raises(ValueError, match="accumulate"):
-            native_kernel_signature(accumulate="float16")
-        with pytest.raises(ValueError, match="jit"):
-            native_kernel_signature(jit="cuda")
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_pickled_operator_keeps_its_side(self, d):
+        operator = DiscreteDAM(GridSpec.unit(d), 3.5).operator
+        rng = np.random.default_rng(4)
+        theta = rng.dirichlet(np.ones(operator.n_inputs))
+        weights = rng.random(operator.n_outputs)
+        operator.forward(theta)  # build the side's structures before pickling
+        clone = pickle.loads(pickle.dumps(operator))
+        assert clone._fft_side is operator._fft_side
+        np.testing.assert_array_equal(clone.forward(theta), operator.forward(theta))
+        np.testing.assert_array_equal(clone.backward(weights), operator.backward(weights))
 
 
 class TestMatvecParity:
     @pytest.mark.parametrize("d,b_hat", [(1, 2), (2, 1), (5, 2), (12, 3), (20, 5)])
     def test_forward_backward_match_operator(self, d, b_hat):
+        """The FFT side against the sparse side of the same operator."""
         operator = _operator(d=d, b_hat=b_hat)
-        kernel = EMKernel(operator)
         rng = np.random.default_rng(d * 31 + b_hat)
         theta = rng.dirichlet(np.ones(operator.n_inputs))
         weights = rng.random(operator.n_outputs)
         np.testing.assert_allclose(
-            kernel.forward(theta), operator.forward(theta), rtol=0, atol=1e-13
+            operator._fft_forward(theta), operator._sparse_forward(theta), rtol=0, atol=1e-13
         )
         np.testing.assert_allclose(
-            kernel.backward(weights),
-            operator.backward(weights),
+            operator._fft_backward(weights),
+            operator._sparse_backward(weights),
             rtol=0,
             atol=1e-12 * weights.sum(),
         )
 
-    def test_buffers_are_reused_across_calls(self):
-        kernel = EMKernel(_operator(d=8, b_hat=2))
-        theta = np.full(kernel.n_inputs, 1.0 / kernel.n_inputs)
-        first = kernel.forward(theta)
-        second = kernel.forward(theta)
-        assert first is second  # allocation-free: same preallocated buffer
-
-    def test_explicit_out_buffer_respected(self):
-        kernel = EMKernel(_operator(d=8, b_hat=2))
-        theta = np.full(kernel.n_inputs, 1.0 / kernel.n_inputs)
-        out = np.empty(kernel.n_outputs)
-        assert kernel.forward(theta, out=out) is out
-
     def test_wrong_lengths_rejected(self):
-        kernel = EMKernel(_operator(d=6, b_hat=2))
-        with pytest.raises(ValueError, match="theta must have length"):
-            kernel.forward(np.ones(3))
-        with pytest.raises(ValueError, match="weights must have length"):
-            kernel.backward(np.ones(3))
+        for operator in (_operator(d=6, b_hat=2), DiscreteDAM(GridSpec.unit(20), 1.4).operator):
+            with pytest.raises(ValueError, match="theta must have length"):
+                operator.forward(np.ones(3))
+            with pytest.raises(ValueError, match="weights must have length"):
+                operator.backward(np.ones(3))
 
+    def test_fft_side_on_an_asymmetric_stencil(self):
+        # Disk stencils are point-symmetric, so only an asymmetric one shows that
+        # backward correlates with the flipped stencil rather than convolving.
+        cols, rows = np.meshgrid(np.arange(4), np.arange(4))
+        keep = (cols < 3) | (rows < 3)
+        operator = DiskTransitionOperator(
+            grid=GridSpec.unit(3),
+            b_hat=1,
+            offsets=np.array([[0, 0], [1, 0], [0, 1]]),
+            values=np.array([0.1, 0.12, 0.18]),
+            background=0.05,
+            output_cells=np.column_stack([cols[keep], rows[keep]]),
+            normaliser=20.0,
+        )
+        dense = operator.to_dense()
+        rng = np.random.default_rng(6)
+        theta = rng.dirichlet(np.ones(operator.n_inputs))
+        weights = rng.random(operator.n_outputs)
+        np.testing.assert_allclose(operator._fft_forward(theta), theta @ dense, atol=1e-15)
+        np.testing.assert_allclose(operator._fft_backward(weights), dense @ weights, atol=1e-14)
 
-class TestFusedEMStep:
-    def test_single_step_matches_plain_loop(self):
-        operator = _operator(d=10, b_hat=2)
-        kernel = EMKernel(operator)
-        rng = np.random.default_rng(5)
-        counts = rng.integers(0, 40, operator.n_outputs).astype(float)
-        theta = np.full(operator.n_inputs, 1.0 / operator.n_inputs)
-
-        predicted = np.clip(operator.forward(theta), 1e-300, None)
-        plain = theta * operator.backward(counts / predicted)
-        plain = np.clip(plain, 0.0, None)
-        plain /= plain.sum()
-
-        fused = kernel.em_step(theta, counts)
-        np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-12)
-
-    def test_double_buffer_never_aliases_input(self):
-        kernel = EMKernel(_operator(d=8, b_hat=2))
-        counts = np.ones(kernel.n_outputs)
-        theta = np.full(kernel.n_inputs, 1.0 / kernel.n_inputs)
-        for _ in range(4):
-            new_theta = kernel.em_step(theta, counts)
-            assert new_theta is not theta
-            assert not np.shares_memory(new_theta, theta)
-            theta = new_theta
-
-    def test_overflow_rescue_keeps_step_finite(self):
-        kernel = EMKernel(_operator(d=6, b_hat=2))
-        counts = np.zeros(kernel.n_outputs)
-        counts[-1] = 1e305
-        theta = np.zeros(kernel.n_inputs)
-        theta[0] = 1.0
-        stepped = kernel.em_step(theta, counts)
-        assert np.isfinite(stepped).all()
-        assert stepped.sum() == pytest.approx(1.0)
+    def test_fft_side_requires_the_stencil_bounding_square(self):
+        # One output column left of the grid that no offset reaches: the output
+        # domain's corner is not the stencil's, so the convolution cannot be read
+        # off the padded plane.
+        cols, rows = np.meshgrid(np.arange(-1, 3), np.arange(2))
+        operator = DiskTransitionOperator(
+            grid=GridSpec.unit(2),
+            b_hat=1,
+            offsets=np.array([[0, 0], [1, 0]]),
+            values=np.array([0.2, 0.2]),
+            background=0.1,
+            output_cells=np.column_stack([cols.ravel(), rows.ravel()]),
+            normaliser=10.0,
+        )
+        np.testing.assert_allclose(
+            operator.forward(np.full(4, 0.25)), np.full(4, 0.25) @ operator.to_dense()
+        )
+        with pytest.raises(ValueError, match="union of offset shifts"):
+            operator._fft_forward(np.full(4, 0.25))
 
 
 class TestExpectationMaximizationIntegration:
-    def test_native_solve_matches_operator_solve(self):
+    def test_fft_solve_matches_sparse(self):
         grid = GridSpec.unit(12)
-        masses = _dam_masses(3, 3.5)
-        operator = build_disk_operator(grid, 3, masses)
-        native = build_native_operator(grid, 3, masses)
+        operator = build_disk_operator(grid, 3, _dam_masses(3, 3.5))
         rng = np.random.default_rng(9)
         cells = rng.integers(0, grid.n_cells, 20_000)
         counts = np.bincount(
             operator.sample(cells, np.random.default_rng(1)),
             minlength=operator.n_outputs,
         ).astype(float)
-        plain = expectation_maximization(operator, counts, max_iterations=60, tolerance=0.0)
-        fused = expectation_maximization(native, counts, max_iterations=60, tolerance=0.0)
-        np.testing.assert_allclose(fused.estimate, plain.estimate, rtol=0, atol=1e-10)
-        assert fused.log_likelihood == pytest.approx(plain.log_likelihood, rel=1e-9)
-        assert plain.kernel is None
-        assert fused.kernel == native.kernel_build.describe()
-
-    def test_estimate_detached_from_kernel_buffers(self):
-        # A second solve on the same kernel must not overwrite the first result.
-        grid = GridSpec.unit(8)
-        native = build_native_operator(grid, 2, _dam_masses(2, 2.5))
-        counts_a = np.zeros(native.n_outputs)
-        counts_a[0] = 100.0
-        counts_b = np.zeros(native.n_outputs)
-        counts_b[-1] = 100.0
-        first = expectation_maximization(native, counts_a, max_iterations=20)
-        frozen = first.estimate.copy()
-        expectation_maximization(native, counts_b, max_iterations=20)
-        np.testing.assert_array_equal(first.estimate, frozen)
-
-    def test_mismatched_kernel_rejected(self):
-        small = build_native_operator(GridSpec.unit(4), 1, _dam_masses(1, 2.0))
-        big = _operator(d=8, b_hat=2)
-        with pytest.raises(ValueError, match="kernel answers"):
-            expectation_maximization(
-                big, np.ones(big.n_outputs), kernel=small.em_kernel
-            )
-
-    def test_kernel_none_forces_plain_loop_on_native_operator(self):
-        native = build_native_operator(GridSpec.unit(6), 2, _dam_masses(2, 2.5))
-        counts = np.ones(native.n_outputs)
-        result = expectation_maximization(native, counts, max_iterations=5, kernel=None)
-        assert result.kernel is None
-
-
-class TestFloat32Mode:
-    def test_float32_build_runs_and_stays_close(self):
-        operator = _operator(d=12, b_hat=3)
-        f64 = EMKernel(operator, accumulate="float64")
-        f32 = EMKernel(operator, accumulate="float32")
-        assert f32.build.describe().endswith("float32")
-        counts = np.random.default_rng(3).integers(0, 50, operator.n_outputs).astype(float)
-        theta = np.full(operator.n_inputs, 1.0 / operator.n_inputs)
-        a = np.array(f64.em_step(theta, counts), dtype=float)
-        b = np.array(f32.em_step(theta, counts), dtype=float)
-        assert np.abs(a - b).sum() < 1e-5  # float32 rounding floor, not drift
-
-
-class TestPickling:
-    def test_kernel_round_trips(self):
-        kernel = EMKernel(_operator(d=8, b_hat=2))
-        clone = pickle.loads(pickle.dumps(kernel))
-        assert clone.build.kind in ("numba", "fft")
-        theta = np.random.default_rng(2).dirichlet(np.ones(kernel.n_inputs))
-        np.testing.assert_allclose(
-            np.array(clone.forward(theta)), np.array(kernel.forward(theta)), atol=1e-13
-        )
-
-    def test_native_operator_round_trips_and_rebuilds_lazily(self):
-        native = build_native_operator(GridSpec.unit(8), 2, _dam_masses(2, 3.0))
-        native.forward(np.full(native.n_inputs, 1.0 / native.n_inputs))  # build kernel
-        clone = pickle.loads(pickle.dumps(native))
-        assert clone._em_kernel is None  # dropped, rebuilt on demand
-        theta = np.random.default_rng(4).dirichlet(np.ones(native.n_inputs))
-        np.testing.assert_allclose(clone.forward(theta), native.forward(theta), atol=1e-13)
-        assert clone.kernel_build.describe() == native.kernel_build.describe()
+        sparse = expectation_maximization(operator, counts, max_iterations=60, tolerance=0.0)
+        operator._fft_side = True
+        fft = expectation_maximization(operator, counts, max_iterations=60, tolerance=0.0)
+        np.testing.assert_allclose(fft.estimate, sparse.estimate, rtol=0, atol=1e-10)
+        assert fft.log_likelihood == pytest.approx(sparse.log_likelihood, rel=1e-9)
