@@ -4,7 +4,7 @@ The bench-smoke CI job runs the throughput benchmarks, which record their measur
 speedups to ``benchmarks/results/BENCH_<name>.json`` (see the ``record_result``
 fixture in ``benchmarks/conftest.py``).  This script diffs the *gated* metrics —
 the speedup ratios each benchmark asserts a floor on, plus the absolute rates of
-the default EM, sampler and walk paths — against the values committed in
+the default EM, sampler, walk and Sinkhorn W2 paths — against the values committed in
 ``benchmarks/baselines/smoke.json`` and exits non-zero when any of them regressed
 by more than the baseline's ``max_regression`` (default 30%).  Every gated metric
 is higher-is-better.

@@ -13,14 +13,18 @@ number: ``REPRO_BENCH_WORKERS`` fans sweep cells out to a process pool, and
 ``REPRO_BENCH_CACHE_DIR`` memoises every sweep cell in a content-addressed on-disk
 cache so interrupted or repeated benchmark runs only compute missing cells.
 
-Each benchmark writes the regenerated series to ``benchmarks/results/<name>.txt`` so
-the numbers behind ``docs/BENCHMARKS.md`` can be re-inspected after a run.  Alongside
-every ``.txt``, :func:`record_result` writes a machine-readable
-``BENCH_<name>.json`` — profile, python version and the benchmark's numeric
-``metrics`` dict (speedups, parities, queries/sec).  CI uploads these as workflow
-artifacts and diffs the gated speedups against the committed baseline in
-``benchmarks/baselines/`` (``benchmarks/compare_baseline.py``), so a silent
-performance regression fails the bench job instead of scrolling past in a log.
+Every benchmark reports through :func:`record_result`, which echoes the regenerated
+series and writes a machine-readable ``benchmarks/results/BENCH_<name>.json`` —
+profile, python version and the benchmark's numeric ``metrics`` dict (speedups,
+parities, queries/sec).  CI uploads these as workflow artifacts and diffs the gated
+speedups against the committed baseline in ``benchmarks/baselines/``
+(``benchmarks/compare_baseline.py``), so a silent performance regression fails the
+bench job instead of scrolling past in a log.  The ``BENCH_*.json`` files are
+gitignored.
+
+The human-readable series behind ``docs/BENCHMARKS.md`` live in the tracked
+``benchmarks/results/<name>.txt`` files.  They are rewritten only when
+``REPRO_BENCH_RECORD=1`` is set, so an ordinary test run leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -99,18 +103,20 @@ def results_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def record_result(results_dir, bench_profile):
-    """Write a named result blob (text + machine-readable JSON) and echo it.
+    """Echo a named result blob and write it as machine-readable JSON.
 
     ``metrics`` is an optional flat dict of the benchmark's measured numbers
-    (speedups, parities, rates).  It lands in ``BENCH_<name>.json`` next to the
-    human-readable ``.txt`` — the artifact the CI regression compare consumes —
-    so pass every number a regression check could care about.
+    (speedups, parities, rates).  It lands in ``BENCH_<name>.json`` — the artifact
+    the CI regression compare consumes — so pass every number a regression check
+    could care about.  With ``REPRO_BENCH_RECORD=1`` the text also replaces the
+    tracked ``<name>.txt``.
     """
+    write_text = os.environ.get("REPRO_BENCH_RECORD") == "1"
 
     def _record(name: str, text: str, metrics: dict | None = None) -> None:
-        header = f"# profile: {bench_profile}\n"
-        path = results_dir / f"{name}.txt"
-        path.write_text(header + text + "\n")
+        if write_text:
+            header = f"# profile: {bench_profile}\n"
+            (results_dir / f"{name}.txt").write_text(header + text + "\n")
         payload = {
             "name": name,
             "profile": bench_profile,

@@ -1,7 +1,7 @@
-"""Throughput of the default paths at fine grids: EM solve, disk sampler, walk.
+"""Throughput of the default paths at fine grids: EM solve, disk sampler, walk, W2.
 
 Each bench times the one path every caller takes and records a rate, gated in
-``benchmarks/baselines/smoke.json`` (all three are higher-is-better):
+``benchmarks/baselines/smoke.json`` (all four are higher-is-better):
 
 * ``em_iterations_per_s`` — fixed-iteration EM on DAM's disk operator at
   Figure-9 scale d=64, eps=3.5, where the operator's shape rule puts the
@@ -9,12 +9,15 @@ Each bench times the one path every caller takes and records a rate, gated in
 * ``sampler_users_per_s`` — the disk sampler (one uniform per user, whole-batch
   bisection for the background draws) at the same d=64;
 * ``walk_trajectories_per_s`` — batched Markov-walk synthesis at the routing
-  grid scale d=60.
+  grid scale d=60;
+* ``sinkhorn_w2_per_s`` — Sinkhorn W2 solves at d=20 with the regularisation the
+  figure sweeps score with, which run in scaling form on the separable kernel.
 
 The rates are absolute, so they depend on the runner; the committed baselines
 are medians of five smoke runs on the reference container.  Parity of the two
 matvec sides with the dense matrix and bit-identity of the bisection and the
-narrow walk with their references are asserted in ``tests/kernels/``.
+narrow walk with their references are asserted in ``tests/kernels/``; parity of
+the separable Sinkhorn with the log-domain loop in ``tests/metrics/test_sinkhorn.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ import numpy as np
 import pytest
 
 from repro.core.dam import DiscreteDAM
-from repro.core.domain import GridSpec
+from repro.core.domain import GridDistribution, GridSpec
 from repro.core.postprocess import expectation_maximization
+from repro.metrics.sinkhorn import sinkhorn_wasserstein
 from repro.trajectory.engine import TrajectoryEngine
 
 N_USERS = 200_000
@@ -35,6 +39,8 @@ EPSILON = 3.5
 EM_ITERATIONS = 60
 WALK_D = 60
 N_SYNTH = 100_000
+SINKHORN_D = 20
+SINKHORN_REG = 0.01  # wasserstein2_auto's default, which the figure sweeps use
 
 
 def _best_of(callable_, repeats: int = 3) -> float:
@@ -127,4 +133,32 @@ def test_walk_throughput(record_result):
             ]
         ),
         metrics={"walk_trajectories_per_s": N_SYNTH / t_synth},
+    )
+
+
+def test_sinkhorn_throughput(record_result):
+    """Sinkhorn W2 solves per second at d=20 against a zero-heavy estimate."""
+    grid = GridSpec.unit(SINKHORN_D)
+    rng = np.random.default_rng(6)
+    truth = rng.dirichlet(np.ones(grid.n_cells))
+    estimate = rng.dirichlet(np.ones(grid.n_cells))
+    estimate[rng.random(grid.n_cells) < 0.7] = 0.0
+    dist_a = GridDistribution(grid, truth.reshape(SINKHORN_D, SINKHORN_D))
+    dist_b = GridDistribution(grid, (estimate / estimate.sum()).reshape(SINKHORN_D, SINKHORN_D))
+
+    def solve():
+        return sinkhorn_wasserstein(dist_a, dist_b, reg=SINKHORN_REG)
+
+    w2 = solve()
+    t_solve = _best_of(solve, repeats=30)
+    record_result(
+        "sinkhorn_throughput",
+        "\n".join(
+            [
+                f"Sinkhorn W2, d={SINKHORN_D}, reg={SINKHORN_REG}, "
+                f"{int((estimate > 0).sum())} of {grid.n_cells} estimate cells non-zero",
+                f"solve: {t_solve * 1e3:8.2f} ms  ({1.0 / t_solve:,.0f} solves/s), W2={w2:.6f}",
+            ]
+        ),
+        metrics={"sinkhorn_w2_per_s": 1.0 / t_solve, "sinkhorn_w2_ms": t_solve * 1e3},
     )

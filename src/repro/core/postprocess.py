@@ -152,6 +152,24 @@ def adaptive_smoothing_strength(
     return float(min(cap, n_cells / n_reports))
 
 
+def _edge_neighbours(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's previous and next neighbour along ``axis``, the ends repeating.
+
+    The same values as the two outer slices of ``np.pad(values, 1, mode="edge")``
+    along ``axis``, copied into fresh arrays without building the padded one.
+    """
+    lead = (slice(None),) * axis
+    head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
+    first, last = lead + (0,), lead + (-1,)
+    before = np.empty_like(values)
+    before[tail] = values[head]
+    before[first] = values[first]
+    after = np.empty_like(values)
+    after[head] = values[tail]
+    after[last] = values[last]
+    return before, after
+
+
 def make_grid_smoother(d: int, *, strength: float = 1.0):
     """Build the 2-D smoothing operator used by the EMS variant.
 
@@ -167,18 +185,10 @@ def make_grid_smoother(d: int, *, strength: float = 1.0):
     def smooth(theta: np.ndarray) -> np.ndarray:
         grid = np.asarray(theta, dtype=float).reshape(d, d)
         # Separable convolution with edge replication so mass is not pushed outward.
-        padded = np.pad(grid, 1, mode="edge")
-        horizontal = (
-            kernel_1d[0] * padded[1:-1, :-2]
-            + kernel_1d[1] * padded[1:-1, 1:-1]
-            + kernel_1d[2] * padded[1:-1, 2:]
-        )
-        padded_h = np.pad(horizontal, ((1, 1), (0, 0)), mode="edge")
-        smoothed = (
-            kernel_1d[0] * padded_h[:-2, :]
-            + kernel_1d[1] * padded_h[1:-1, :]
-            + kernel_1d[2] * padded_h[2:, :]
-        )
+        left, right = _edge_neighbours(grid, axis=1)
+        horizontal = kernel_1d[0] * left + kernel_1d[1] * grid + kernel_1d[2] * right
+        below, above = _edge_neighbours(horizontal, axis=0)
+        smoothed = kernel_1d[0] * below + kernel_1d[1] * horizontal + kernel_1d[2] * above
         blended = (1.0 - strength) * grid + strength * smoothed
         return blended.reshape(-1)
 
@@ -195,8 +205,8 @@ def make_line_smoother(size: int, *, strength: float = 1.0):
         vec = np.asarray(theta, dtype=float).reshape(-1)
         if vec.shape[0] != size:
             raise ValueError(f"expected a vector of length {size}, got {vec.shape[0]}")
-        padded = np.pad(vec, 1, mode="edge")
-        smoothed = kernel[0] * padded[:-2] + kernel[1] * padded[1:-1] + kernel[2] * padded[2:]
+        before, after = _edge_neighbours(vec, axis=0)
+        smoothed = kernel[0] * before + kernel[1] * vec + kernel[2] * after
         return (1.0 - strength) * vec + strength * smoothed
 
     return smooth

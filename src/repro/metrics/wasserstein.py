@@ -155,6 +155,22 @@ def wasserstein_exact(
     return float(result.fun)
 
 
+def check_same_grid(dist_a: GridDistribution, dist_b: GridDistribution) -> None:
+    """Reject two grid distributions that differ in grid side or domain bounds.
+
+    The ground cost is built from one grid's cell centres, so it only describes both
+    distributions when they share it.  Bounds are compared rather than the grid
+    specs because a domain also carries a ``name``, which moves no cell centre.
+    """
+    if dist_a.grid.d != dist_b.grid.d:
+        raise ValueError("grid distributions must live on grids of equal side")
+    if dist_a.grid.domain.bounds != dist_b.grid.domain.bounds:
+        raise ValueError(
+            "grid distributions must live on the same domain, got bounds "
+            f"{dist_a.grid.domain.bounds} and {dist_b.grid.domain.bounds}"
+        )
+
+
 def wasserstein2_grid(
     dist_a: GridDistribution,
     dist_b: GridDistribution,
@@ -165,10 +181,10 @@ def wasserstein2_grid(
 
     Distances between cells are Euclidean distances between cell centres in domain
     coordinates; the returned value is ``W_p`` (the ``p``-th root of the optimal cost),
-    matching the ``W2`` reported in the paper's figures.
+    matching the ``W2`` reported in the paper's figures.  The two distributions must
+    share the grid side and the domain bounds.
     """
-    if dist_a.grid.d != dist_b.grid.d:
-        raise ValueError("grid distributions must live on grids of equal side")
+    check_same_grid(dist_a, dist_b)
     check_positive(p, "p")
     distances = pairwise_cell_distances(dist_a.grid.d, dist_a.grid.domain.bounds)
     cost = distances**p

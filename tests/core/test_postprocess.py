@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strategies
 from repro.core.postprocess import (
     expectation_maximization,
     make_grid_smoother,
@@ -22,6 +23,43 @@ def _noisy_counts(transition: np.ndarray, truth: np.ndarray, n: int, seed: int) 
     for cell in cells:
         counts[rng.choice(transition.shape[1], p=transition[cell])] += 1
     return counts
+
+
+def _padded_grid_smoother(d: int, strength: float):
+    """The 2-D smoother written with ``np.pad`` edge replication, as the reference."""
+    kernel_1d = np.array([1.0, 2.0, 1.0]) / 4.0
+
+    def smooth(theta: np.ndarray) -> np.ndarray:
+        grid = np.asarray(theta, dtype=float).reshape(d, d)
+        padded = np.pad(grid, 1, mode="edge")
+        horizontal = (
+            kernel_1d[0] * padded[1:-1, :-2]
+            + kernel_1d[1] * padded[1:-1, 1:-1]
+            + kernel_1d[2] * padded[1:-1, 2:]
+        )
+        padded_h = np.pad(horizontal, ((1, 1), (0, 0)), mode="edge")
+        smoothed = (
+            kernel_1d[0] * padded_h[:-2, :]
+            + kernel_1d[1] * padded_h[1:-1, :]
+            + kernel_1d[2] * padded_h[2:, :]
+        )
+        blended = (1.0 - strength) * grid + strength * smoothed
+        return blended.reshape(-1)
+
+    return smooth
+
+
+def _padded_line_smoother(strength: float):
+    """The 1-D smoother written with ``np.pad`` edge replication, as the reference."""
+    kernel = np.array([1.0, 2.0, 1.0]) / 4.0
+
+    def smooth(theta: np.ndarray) -> np.ndarray:
+        vec = np.asarray(theta, dtype=float).reshape(-1)
+        padded = np.pad(vec, 1, mode="edge")
+        smoothed = kernel[0] * padded[:-2] + kernel[1] * padded[1:-1] + kernel[2] * padded[2:]
+        return (1.0 - strength) * vec + strength * smoothed
+
+    return smooth
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +238,31 @@ class TestSmoothers:
         smoother = make_line_smoother(5)
         with pytest.raises(ValueError):
             smoother(np.ones(4) / 4)
+
+    @given(
+        strategies.grid_sides(1, 24),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        strategies.seeds(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grid_smoother_bit_identical_to_padded_reference(self, d, strength, seed):
+        theta = np.random.default_rng(seed).dirichlet(np.ones(d * d))
+        smoother = make_grid_smoother(d, strength=strength)
+        expected = _padded_grid_smoother(d, strength)(theta)
+        assert np.array_equal(smoother(theta), expected)
+        # The streaming service reuses one smoother across epochs: no state carries over.
+        assert np.array_equal(smoother(theta), expected)
+
+    @given(
+        strategies.grid_sides(1, 64),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        strategies.seeds(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_line_smoother_bit_identical_to_padded_reference(self, size, strength, seed):
+        theta = np.random.default_rng(seed).dirichlet(np.ones(size))
+        smoother = make_line_smoother(size, strength=strength)
+        assert np.array_equal(smoother(theta), _padded_line_smoother(strength)(theta))
 
 
 class TestMatrixInversion:

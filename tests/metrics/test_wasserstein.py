@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strategies
-from repro.core.domain import GridDistribution, GridSpec
+from repro.core.domain import GridDistribution, GridSpec, SpatialDomain
 from repro.metrics.wasserstein import (
     wasserstein2_auto,
     wasserstein2_grid,
@@ -159,6 +159,15 @@ class TestWasserstein2Grid:
         other = GridDistribution.uniform(GridSpec.unit(4))
         with pytest.raises(ValueError):
             wasserstein2_grid(clustered_distribution, other)
+
+    def test_different_bounds_rejected(self):
+        unit = GridDistribution.uniform(GridSpec.unit(5))
+        wide = GridDistribution.uniform(GridSpec(SpatialDomain(0.0, 100.0, 0.0, 100.0), 5))
+        for pair in ((unit, wide), (wide, unit)):
+            with pytest.raises(ValueError, match="same domain"):
+                wasserstein2_grid(*pair)
+            with pytest.raises(ValueError, match="same domain"):
+                wasserstein2_auto(*pair)
 
     def test_bounded_by_diameter(self, clustered_distribution, uniform_distribution):
         """W2 on the unit square can never exceed its diameter sqrt(2)."""
