@@ -1,21 +1,25 @@
 """HTTP front throughput: the network face versus the staged in-memory path.
 
 The question this benchmark pins down: how much of the serving tier's
-throughput survives the trip through the asyncio HTTP/1.1 front — JSON
-serialisation both ways, the admission queue, the dispatcher's coalescing trip
-into the worker pool — relative to the fastest path the same workers offer (a
-staged :class:`~repro.serving.server.WorkloadArena`, where a task message is a
-row range and the answers land in shared memory)?
+throughput survives the trip through the asyncio HTTP/1.1 front — the row
+frame both ways (``HttpQueryClient`` sends ``range_mass`` as the binary
+schema-version-2 body: a small JSON header over raw float64 rows), the
+admission queue, the dispatcher's coalescing trip into the worker pool —
+relative to the fastest path the same workers offer (a staged
+:class:`~repro.serving.server.WorkloadArena`, where a task message is a row
+range and the answers land in shared memory)?
 
 * The same range workload is served twice from the same published snapshot:
   once via :meth:`~repro.serving.server.ServingServer.serve_staged`, once as
   batched ``POST /query`` requests through :class:`HttpServingFront`.
 * Both passes must answer **bit-identically** to a serial
-  :class:`~repro.queries.engine.QueryEngine` — JSON float round-tripping is
-  exact, so the network face gets no numeric slack.
+  :class:`~repro.queries.engine.QueryEngine` — the frame carries raw IEEE
+  bytes, so the network face gets no numeric slack.
 * The gated metric is ``http_serving_ratio`` — HTTP rows/s over staged rows/s —
-  so a regression in the HTTP layer (serialisation, queueing, batching) fails
-  CI even while raw worker throughput is unchanged.
+  so a regression in the HTTP layer (framing, queueing, batching) fails
+  CI even while raw worker throughput is unchanged.  What is left of the HTTP
+  cost is mostly the client's list-to-array conversion of each request's rows
+  and the event loop, no longer text encoding.
 * The front's ``/metrics`` endpoint must report the traffic it just served
   with the replay-style per-kind p50/p99 latency stats.
 

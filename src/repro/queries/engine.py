@@ -691,16 +691,18 @@ class QueryLog:
         )
 
 
-def latency_stats(count: int, latencies) -> dict:
+def latency_stats(count: int, latencies, *, seconds: float | None = None) -> dict:
     """The per-kind stats record of a :class:`ReplayReport`.
 
     ``count`` operations took the given per-dispatch ``latencies`` (seconds);
     the record carries totals plus the 50th/99th percentile dispatch latency.
+    ``seconds`` is the total time of all ``count`` operations when
+    ``latencies`` holds only a recent window of them (default: their sum).
     Shared by :class:`WorkloadReplay` and the HTTP front-end's ``/metrics``
     endpoint so both report latency through one formula.
     """
     latencies = np.asarray(latencies, dtype=float)
-    elapsed = float(latencies.sum())
+    elapsed = float(latencies.sum()) if seconds is None else float(seconds)
     return {
         "count": count,
         "seconds": elapsed,

@@ -6,7 +6,8 @@ a seqlock generation counter (:mod:`repro.serving.shm`), and N long-lived
 worker processes answer queries zero-copy against it
 (:mod:`repro.serving.server`), bit-identically to a serial
 :class:`~repro.queries.engine.QueryEngine`.  Queries cross process and network
-boundaries as the versioned wire schema (:mod:`repro.serving.wire`), and
+boundaries as the versioned wire schema (:mod:`repro.serving.wire`: JSON for
+every kind, a binary row frame for range and density rows), and
 :mod:`repro.serving.http` puts an asyncio HTTP/1.1 face on the whole surface —
 point and trajectory kinds alike.  See the "Serving tier" and "Network front"
 sections of ``docs/ARCHITECTURE.md`` for the layout and protocol.
@@ -31,6 +32,9 @@ from repro.serving.shm import (
 )
 from repro.serving.wire import (
     POINT_KINDS,
+    ROW_KINDS,
+    ROWS_MEDIA_TYPE,
+    ROWS_SCHEMA_VERSION,
     SCHEMA_VERSION,
     TRAJECTORY_KINDS,
     QueryKind,
@@ -50,6 +54,9 @@ __all__ = [
     "QueryKind",
     "QueryRequest",
     "QueryResponse",
+    "ROW_KINDS",
+    "ROWS_MEDIA_TYPE",
+    "ROWS_SCHEMA_VERSION",
     "SCHEMA_VERSION",
     "ServedBatch",
     "ServingServer",

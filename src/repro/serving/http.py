@@ -5,9 +5,11 @@ can answer: the point surface a :class:`~repro.serving.server.ServingServer`
 serves from its shared-memory snapshot, and (when a trajectory segment is
 attached) the trajectory surface of a
 :class:`~repro.serving.shm.TrajectorySnapshotReader`.  Requests and responses
-are the versioned wire schema of :mod:`repro.serving.wire`; Python's ``json``
-round-trips float answers bit-identically, so an HTTP client sees the very
-numbers a serial in-process engine computes.
+are the versioned wire schema of :mod:`repro.serving.wire`: JSON (version 1)
+for every kind, and for ``range_mass`` and ``point_density`` a binary row frame
+(version 2), chosen by the request's ``Content-Type`` and answered in the
+version it was asked in.  Both keep float answers bit-identical, so an HTTP
+client sees the very numbers a serial in-process engine computes.
 
 The deployment shape::
 
@@ -37,11 +39,15 @@ The deployment shape::
 * **/metrics** — generation/epoch of the live snapshot, queue depth, and
   per-kind latency through :func:`repro.queries.engine.latency_stats` — the
   same count/p50/p99 formula :class:`~repro.queries.engine.ReplayReport` uses.
+  Counts and total seconds cover every request; the percentiles cover the last
+  :data:`LATENCY_WINDOW` requests of each kind, so memory stays bounded under
+  sustained traffic.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import http.client
 import json
@@ -60,6 +66,8 @@ from repro.serving.shm import (
     TrajectorySnapshotSpec,
 )
 from repro.serving.wire import (
+    ROW_KINDS,
+    ROWS_MEDIA_TYPE,
     SCHEMA_VERSION,
     TRAJECTORY_KINDS,
     QueryKind,
@@ -67,6 +75,11 @@ from repro.serving.wire import (
     QueryResponse,
     WireFormatError,
 )
+
+#: Requests per kind whose latencies the ``/metrics`` percentiles cover.
+LATENCY_WINDOW = 4096
+
+_JSON_MEDIA_TYPE = "application/json"
 
 _REASONS = {
     200: "OK",
@@ -97,6 +110,11 @@ class _Rejection(Exception):
         self.status = status
         self.message = message
         self.retry_after = retry_after
+
+
+def _is_row_frame(content_type: str) -> bool:
+    """Whether a ``Content-Type`` names the row frame (case-insensitive, parameters ignored)."""
+    return content_type.partition(";")[0].strip().lower() == ROWS_MEDIA_TYPE
 
 
 def _request_ops(request: QueryRequest) -> int:
@@ -180,8 +198,11 @@ class HttpServingFront:
         self._connections: set = set()
         self._conn_tasks: set = set()
         # Metrics state; touched only from the event-loop thread.
-        self._latencies: dict[str, list[float]] = {}
-        self._counts: dict[str, int] = {}
+        self._latencies: dict[str, collections.deque] = collections.defaultdict(
+            lambda: collections.deque(maxlen=LATENCY_WINDOW)
+        )
+        self._seconds: dict[str, float] = collections.defaultdict(float)
+        self._counts: dict[str, int] = collections.defaultdict(int)
         self._served = 0
         self._rejected = 0
 
@@ -290,8 +311,9 @@ class HttpServingFront:
 
     def _observe(self, request: QueryRequest, latency: float) -> None:
         kind = request.kind.value
-        self._latencies.setdefault(kind, []).append(latency)
-        self._counts[kind] = self._counts.get(kind, 0) + _request_ops(request)
+        self._latencies[kind].append(latency)
+        self._seconds[kind] += latency
+        self._counts[kind] += _request_ops(request)
         self._served += 1
 
     def _classify(self, exc: BaseException) -> _Rejection:
@@ -345,9 +367,11 @@ class HttpServingFront:
                 collect_failure = self._classify(exc)
                 outcomes[index] = collect_failure
             else:
+                # The answers array is this ticket's own, not a shared-memory
+                # view, so encoding it later on the event-loop thread is safe.
                 outcomes[index] = QueryResponse(
                     QueryKind.RANGE_MASS,
-                    batch.answers.tolist(),
+                    batch.answers,
                     generation=batch.generations[-1],
                     epoch=batch.epochs[-1],
                 )
@@ -387,10 +411,10 @@ class HttpServingFront:
 
     @staticmethod
     def _point_result(engine, kind: QueryKind, payload: dict):
-        """JSON-ready answer for a point kind (materialised inside the seqlock)."""
+        """Wire-ready answer for a point kind (materialised inside the seqlock)."""
         if kind is QueryKind.POINT_DENSITY:
             points = np.asarray(payload["points"], dtype=float)
-            return engine.point_density(points).tolist()
+            return engine.point_density(points)
         if kind is QueryKind.TOP_K:
             cells = engine.top_k_cells(int(payload["k"]))
             return {
@@ -458,10 +482,19 @@ class HttpServingFront:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length") or 0)
-                body = await reader.readexactly(length) if length else b""
+                # RFC 9110: Content-Length = 1*DIGIT.  Anything else leaves the
+                # body's end unknown, so answer and hang up.
+                length = headers.get("content-length", "0")
+                if not (length.isascii() and length.isdigit()):
+                    writer.write(
+                        self._error_bytes(400, "malformed Content-Length", close=True)
+                    )
+                    await writer.drain()
+                    break
+                body = await reader.readexactly(int(length))
                 close = headers.get("connection", "").lower() == "close"
-                status, payload, retry_after = await self._route(method, path, body)
+                rows = _is_row_frame(headers.get("content-type", ""))
+                status, payload, retry_after = await self._route(method, path, body, rows)
                 close = close or self._draining
                 writer.write(
                     self._response_bytes(
@@ -485,13 +518,17 @@ class HttpServingFront:
                 await writer.wait_closed()
 
     async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> tuple[int, str, float | None]:
-        """Dispatch one request; returns ``(status, json_body, retry_after)``."""
+        self, method: str, path: str, body: bytes, rows: bool
+    ) -> tuple[int, str | bytes, float | None]:
+        """Dispatch one request; returns ``(status, body, retry_after)``.
+
+        ``rows`` says the body is a row frame; the answer then is one too.
+        Every other body, errors included, is JSON text.
+        """
         if path == "/query":
             if method != "POST":
                 return 405, json.dumps({"error": "POST required"}), None
-            return await self._route_query(body)
+            return await self._route_query(body, rows)
         if path == "/metrics":
             if method != "GET":
                 return 405, json.dumps({"error": "GET required"}), None
@@ -500,7 +537,9 @@ class HttpServingFront:
             return 200, json.dumps({"status": "draining" if self._draining else "ok"}), None
         return 404, json.dumps({"error": f"no route {path!r}"}), None
 
-    async def _route_query(self, body: bytes) -> tuple[int, str, float | None]:
+    async def _route_query(
+        self, body: bytes, rows: bool
+    ) -> tuple[int, str | bytes, float | None]:
         if self._draining:
             return (
                 503,
@@ -508,7 +547,7 @@ class HttpServingFront:
                 self._retry_after,
             )
         try:
-            request = QueryRequest.from_json(body)
+            request = QueryRequest.from_bytes(body) if rows else QueryRequest.from_json(body)
         except WireFormatError as exc:
             return 400, json.dumps({"error": str(exc)}), None
         future = self._loop.create_future()
@@ -528,12 +567,12 @@ class HttpServingFront:
             if outcome.status == 429:
                 self._rejected += 1
             return outcome.status, json.dumps({"error": outcome.message}), outcome.retry_after
-        return 200, outcome.to_json(), None
+        return 200, outcome.to_bytes() if rows else outcome.to_json(), None
 
     def _metrics(self) -> dict:
         """The `/metrics` document (computed on the event-loop thread)."""
         per_kind = {
-            kind: latency_stats(self._counts[kind], latencies)
+            kind: latency_stats(self._counts[kind], latencies, seconds=self._seconds[kind])
             for kind, latencies in self._latencies.items()
             if latencies
         }
@@ -550,12 +589,20 @@ class HttpServingFront:
 
     @staticmethod
     def _response_bytes(
-        status: int, body: str, *, retry_after: float | None = None, close: bool = False
+        status: int,
+        body: str | bytes,
+        *,
+        retry_after: float | None = None,
+        close: bool = False,
     ) -> bytes:
-        payload = body.encode()
+        """One HTTP response: a ``str`` body is JSON, a ``bytes`` body a row frame."""
+        if isinstance(body, bytes):
+            payload, content_type = body, ROWS_MEDIA_TYPE
+        else:
+            payload, content_type = body.encode(), _JSON_MEDIA_TYPE
         lines = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            "Content-Type: application/json",
+            f"Content-Type: {content_type}",
             f"Content-Length: {len(payload)}",
             f"Connection: {'close' if close else 'keep-alive'}",
         ]
@@ -573,7 +620,8 @@ class HttpQueryClient:
 
     One keep-alive connection; :meth:`query` raises :class:`HttpStatusError`
     on any non-200 (carrying the parsed ``Retry-After`` hint on 429/503) so
-    callers implement backpressure with one ``except``.
+    callers implement backpressure with one ``except``.  ``range_mass`` and
+    ``point_density`` travel as row frames, every other kind as JSON.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float = 60.0) -> None:
@@ -582,15 +630,20 @@ class HttpQueryClient:
         self.timeout = timeout
         self._connection: http.client.HTTPConnection | None = None
 
-    def _request(self, method: str, path: str, body: str | None = None):
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: str | bytes | None = None,
+        content_type: str = _JSON_MEDIA_TYPE,
+    ):
+        headers = {"Content-Type": content_type}
         if self._connection is None:
             self._connection = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout
             )
         try:
-            self._connection.request(
-                method, path, body=body, headers={"Content-Type": "application/json"}
-            )
+            self._connection.request(method, path, body=body, headers=headers)
             response = self._connection.getresponse()
         except (http.client.HTTPException, ConnectionError, OSError):
             # Stale keep-alive connection (e.g. the server restarted): one
@@ -599,9 +652,7 @@ class HttpQueryClient:
             self._connection = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout
             )
-            self._connection.request(
-                method, path, body=body, headers={"Content-Type": "application/json"}
-            )
+            self._connection.request(method, path, body=body, headers=headers)
             response = self._connection.getresponse()
         payload = response.read()
         if response.status != 200:
@@ -619,6 +670,9 @@ class HttpQueryClient:
 
     def query(self, request: QueryRequest) -> QueryResponse:
         """POST one wire request; returns the parsed response or raises."""
+        if request.kind in ROW_KINDS:
+            frame = self._request("POST", "/query", request.to_bytes(), ROWS_MEDIA_TYPE)
+            return QueryResponse.from_bytes(frame)
         return QueryResponse.from_json(self._request("POST", "/query", request.to_json()))
 
     def metrics(self) -> dict:

@@ -4,16 +4,25 @@ The load-bearing property is that the kind vocabulary is defined ONCE: the
 enum's values are exactly the kind strings ``WorkloadReplay`` reports and
 answers under, so a producer/consumer kind mismatch (the PR 8
 ``"density"``/``"point_density"`` bug shape) cannot type-check against the
-schema, and floats round-trip the JSON boundary bit-identically.
+schema, and floats round-trip both the JSON schema (version 1) and the binary
+row frame (version 2) bit-identically.
 """
 
+import json
+import struct
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.domain import GridSpec, SpatialDomain
 from repro.queries import QueryEngine, QueryLog, TrajectoryQueryEngine, WorkloadReplay
 from repro.serving.wire import (
     POINT_KINDS,
+    ROW_KINDS,
+    ROWS_SCHEMA_VERSION,
     SCHEMA_VERSION,
     TRAJECTORY_KINDS,
     QueryKind,
@@ -183,3 +192,141 @@ class TestRequestsFromLog:
             if request.kind is QueryKind.RANGE_MASS
         ]
         assert np.array(per_request).tobytes() == answers["range_mass"].tobytes()
+
+
+#: Every float class the frame must carry bit for bit, next to ordinary values.
+SPECIAL_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,  # smallest subnormal
+    -2.2250738585072e-308,  # subnormal
+    np.inf,
+    -np.inf,
+    np.nan,
+    float(np.uint64(0xFFF8000000000123).view(np.float64)),  # negative NaN, payload
+]
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+
+
+@st.composite
+def row_blocks(draw, *, answers: bool = False):
+    """``(kind, block)``: a row kind and 0..64 rows of its width (or its answers)."""
+    kind = draw(st.sampled_from(sorted(ROW_KINDS)))
+    rows = draw(st.integers(0, 64))
+    shape = (rows,) if answers else (rows, ROW_KINDS[kind][1])
+    return kind, draw(hnp.arrays(np.float64, shape, elements=FLOATS))
+
+
+def raw_frame(header: object, block: bytes = b"") -> bytes:
+    """A frame built by hand, so malformed ones can be written too."""
+    head = json.dumps(header).encode()
+    return struct.pack("<I", len(head)) + head + block
+
+
+class TestRowFrame:
+    @settings(max_examples=120, deadline=None)
+    @given(row_blocks(), st.booleans())
+    def test_request_round_trip_is_bit_identical(self, kind_block, as_list):
+        kind, block = kind_block
+        name, _ = ROW_KINDS[kind]
+        payload = {name: block.tolist() if as_list else block}
+        parsed = QueryRequest.from_bytes(QueryRequest(kind, payload).to_bytes())
+        assert parsed.kind is kind
+        assert parsed.schema_version == ROWS_SCHEMA_VERSION
+        assert parsed.payload[name].shape == block.shape
+        assert parsed.payload[name].tobytes() == block.tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(row_blocks(answers=True), st.integers(0, 2**40), st.none() | st.integers(0, 99))
+    def test_response_round_trip_is_bit_identical(self, kind_block, generation, epoch):
+        kind, block = kind_block
+        frame = QueryResponse(kind, block, generation=generation, epoch=epoch).to_bytes()
+        parsed = QueryResponse.from_bytes(frame)
+        assert (parsed.kind, parsed.generation, parsed.epoch) == (kind, generation, epoch)
+        assert isinstance(parsed.result, list)
+        assert np.array(parsed.result, dtype=np.float64).tobytes() == block.tobytes()
+
+    def test_header_and_block_layout(self):
+        rows = np.array([[0.1, 0.6, 0.2, 0.9], [0.0, 1.0, 0.0, 1.0]])
+        frame = QueryRequest(QueryKind.RANGE_MASS, {"queries": rows}).to_bytes()
+        (size,) = struct.unpack_from("<I", frame)
+        header = json.loads(frame[4 : 4 + size])
+        assert header == {"kind": "range_mass", "schema_version": 2, "rows": 2}
+        assert frame[4 + size :] == rows.astype("<f8").tobytes()
+
+    def test_payload_not_dividing_into_rows_rejected(self):
+        request = QueryRequest(QueryKind.RANGE_MASS, {"queries": [[0.1, 0.2, 0.3]]})
+        with pytest.raises(WireFormatError, match="rows of 4 floats"):
+            request.to_bytes()
+
+    def test_kind_without_row_form_cannot_be_framed(self):
+        with pytest.raises(WireFormatError, match="top_k has no row frame"):
+            QueryRequest(QueryKind.TOP_K, {"k": 3}).to_bytes()
+        with pytest.raises(WireFormatError, match="marginals has no row frame"):
+            QueryResponse(QueryKind.MARGINALS, {"x": [], "y": []}).to_bytes()
+
+    @pytest.mark.parametrize(
+        "frame, match",
+        [
+            (b"\x05\x00", "too short"),
+            (struct.pack("<I", 100) + b"{}", "overruns"),
+            (struct.pack("<I", 5) + b"{nope", "not valid JSON"),
+            (struct.pack("<I", 2) + b"\xff\xfe", "not valid JSON"),
+            (raw_frame([1, 2]), "must be a JSON object"),
+            (raw_frame({"kind": "range_mass", "rows": 0}), "schema_version None"),
+            (raw_frame({"kind": "range_mass", "schema_version": 1, "rows": 0}), "schema_version 1"),
+            (raw_frame({"kind": "florble", "schema_version": 2, "rows": 0}), "unknown query kind"),
+            (raw_frame({"kind": "top_k", "schema_version": 2, "rows": 0}), "no row frame"),
+            (raw_frame({"kind": "range_mass", "schema_version": 2}), "rows must be"),
+            (raw_frame({"kind": "range_mass", "schema_version": 2, "rows": -1}), "rows must be"),
+            (raw_frame({"kind": "range_mass", "schema_version": 2, "rows": 1.0}), "rows must be"),
+            (raw_frame({"kind": "range_mass", "schema_version": 2, "rows": True}), "rows must be"),
+            (
+                raw_frame({"kind": "range_mass", "schema_version": 2, "rows": 1}, bytes(31)),
+                "block is 31 bytes",
+            ),
+            (
+                raw_frame({"kind": "point_density", "schema_version": 2, "rows": 1}, bytes(24)),
+                "block is 24 bytes",
+            ),
+        ],
+    )
+    def test_malformed_request_frames_rejected(self, frame, match):
+        with pytest.raises(WireFormatError, match=match):
+            QueryRequest.from_bytes(frame)
+
+    @pytest.mark.parametrize(
+        "header, block, match",
+        [
+            ({"kind": "range_mass", "schema_version": 3, "rows": 0}, b"", "schema_version 3"),
+            ({"kind": "quantiles", "schema_version": 2, "rows": 0}, b"", "no row frame"),
+            ({"kind": "range_mass", "schema_version": 2, "rows": "2"}, bytes(16), "rows must be"),
+            # A response block holds one answer per row, not the request's width.
+            ({"kind": "range_mass", "schema_version": 2, "rows": 2}, bytes(64), "block is 64"),
+        ],
+    )
+    def test_malformed_response_frames_rejected(self, header, block, match):
+        with pytest.raises(WireFormatError, match=match):
+            QueryResponse.from_bytes(raw_frame(header, block))
+
+
+class TestJsonArrays:
+    @settings(max_examples=80, deadline=None)
+    @given(row_blocks(answers=True))
+    def test_array_result_encodes_as_its_list(self, kind_block):
+        """v1 text of an ndarray answer is the text of its ``tolist()``."""
+        kind, block = kind_block
+        as_array = QueryResponse(kind, block, generation=1, epoch=2).to_json()
+        assert as_array == QueryResponse(kind, block.tolist(), generation=1, epoch=2).to_json()
+
+    def test_array_payload_encodes_as_its_list(self):
+        rows = np.array([[0.1, 0.6, 0.2, 0.9]])
+        as_array = QueryRequest(QueryKind.RANGE_MASS, {"queries": rows}).to_json()
+        assert as_array == QueryRequest(QueryKind.RANGE_MASS, {"queries": rows.tolist()}).to_json()
+
+    def test_other_objects_still_rejected(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            QueryResponse(QueryKind.TOP_K, {"cells": object()}).to_json()
