@@ -15,9 +15,14 @@ each epoch's fresh estimate atomically for mid-stream serving, and
 :class:`WorkloadReplay` replays persisted :class:`QueryLog` traffic while
 measuring latency and throughput.
 
-Every engine speaks one query surface — :class:`QuerySurface` — so serving
-code (the worker pool, the HTTP front, the replay harness) is written once
-against ``answer`` / ``answer_batch`` instead of per-engine spellings.
+Every range engine speaks one query surface — :class:`QuerySurface`
+(``answer`` / ``answer_batch``) — so a range workload is scored against any of
+them through one call.  The serving code is written
+against the kind table of :mod:`repro.queries.kinds` instead: for each
+:class:`~repro.queries.kinds.QueryKind` it names the engine method that answers
+it, and the replay harness, the wire expansion of a log and the HTTP front's
+seqlock reads all look that method up on the engine they serve from.  The
+worker pool answers ``range_mass`` rows with :meth:`QueryEngine.range_mass`.
 """
 
 from typing import Protocol, Sequence, runtime_checkable

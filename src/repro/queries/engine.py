@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.domain import GridDistribution, marginals, stack_trajectory_cells
+from repro.queries.kinds import KINDS
 from repro.utils.rng import ensure_rng
 
 
@@ -587,19 +588,19 @@ class QueryLog:
             dtype=np.int64,
         ).reshape(-1)
 
+    def operations(self, kind) -> np.ndarray | range:
+        """The logged operations of one :class:`~repro.queries.kinds.QueryKind`, in order.
+
+        Rows, points, sizes or levels; the marginal requests, logged as a
+        count, come back as ``range(n_marginal_requests)``.
+        """
+        logged = getattr(self, KINDS[kind].log_field)
+        return logged if isinstance(logged, np.ndarray) else range(logged)
+
     @property
     def size(self) -> int:
         """Total number of logged operations."""
-        return (
-            self.range_queries.shape[0]
-            + self.density_points.shape[0]
-            + self.top_k.shape[0]
-            + self.quantile_levels.shape[0]
-            + self.n_marginal_requests
-            + self.od_top_k.shape[0]
-            + self.transition_top_k.shape[0]
-            + self.length_histogram_bins.shape[0]
-        )
+        return sum(len(self.operations(kind)) for kind in KINDS)
 
     @property
     def trajectory_operation_counts(self) -> dict[str, int]:
@@ -610,9 +611,9 @@ class QueryLog:
         trajectory surface.
         """
         counts = {
-            "od_top_k": int(self.od_top_k.shape[0]),
-            "transition_top_k": int(self.transition_top_k.shape[0]),
-            "length_histogram": int(self.length_histogram_bins.shape[0]),
+            kind.value: len(self.operations(kind))
+            for kind, spec in KINDS.items()
+            if spec.trajectory
         }
         return {kind: count for kind, count in counts.items() if count}
 
@@ -719,8 +720,11 @@ class ReplayReport:
     ``per_kind`` maps each operation kind to ``count`` / ``seconds`` /
     ``ops_per_second`` plus ``latency_p50`` / ``latency_p99``: the 50th and 99th
     percentile latency (seconds) over the individual dispatches the replay issued
-    for that kind — per item for the looped kinds (top-k, contours, marginals,
-    trajectory statistics), per batch slice for the vectorised array kinds.
+    for that kind — per operation for the kinds asked one at a time (top-k,
+    marginals, trajectory statistics), per batch slice for the kinds whose
+    operations are items of one batch (range rows, density points and contour
+    levels, cut into at most :attr:`WorkloadReplay.LATENCY_SLICES` slices, so a
+    log of up to that many contour levels still times each level alone).
     """
 
     n_operations: int
@@ -756,9 +760,9 @@ class WorkloadReplay:
     :class:`~repro.serving.ServingServer`'s job (``repro serve --serve-workers``).
     """
 
-    #: how many same-sized slices the vectorised batch kinds are cut into so the
-    #: latency percentiles have per-dispatch samples (slicing a row-wise batch
-    #: and concatenating the slice answers is bitwise identical to one call)
+    #: how many same-sized slices the per-item kinds (rows, points, levels) are
+    #: cut into so the latency percentiles have per-dispatch samples (slicing
+    #: such a batch and joining the slice answers is bitwise identical to one call)
     LATENCY_SLICES = 32
 
     def __init__(self, engine: QueryEngine) -> None:
@@ -781,7 +785,7 @@ class WorkloadReplay:
         # which delegates rather than subclasses TrajectoryQueryEngine — replays
         # mixed workloads mid-stream.
         if log.has_trajectory_operations:
-            required = ("od_top_k", "transition_top_k", "length_histogram")
+            required = [spec.method for spec in KINDS.values() if spec.trajectory]
             if not all(callable(getattr(self.engine, op, None)) for op in required):
                 kinds = ", ".join(
                     f"{kind} x{count}"
@@ -795,84 +799,30 @@ class WorkloadReplay:
                 )
         per_kind: dict = {}
         answers: dict = {}
-
-        def timed(kind: str, dispatches: list) -> list:
-            """Run ``(n_ops, fn)`` dispatches; record totals and p50/p99 latency."""
+        for kind, spec in KINDS.items():
+            operations = log.operations(kind)
+            if not len(operations):
+                continue
+            dispatches = (
+                np.array_split(operations, min(self.LATENCY_SLICES, len(operations)))
+                if spec.per_item
+                else operations
+            )
+            method = getattr(self.engine, spec.method)
             latencies = np.empty(len(dispatches))
             outputs = []
-            count = 0
-            for i, (n_ops, fn) in enumerate(dispatches):
+            for i, dispatch in enumerate(dispatches):
+                arguments = spec.arguments(dispatch)
                 start = time.perf_counter()
-                outputs.append(fn())
+                outputs.append(method(*arguments))
                 latencies[i] = time.perf_counter() - start
-                count += n_ops
-            per_kind[kind] = latency_stats(count, latencies)
-            return outputs
-
-        def sliced(array: np.ndarray, fn) -> list:
-            """Per-slice dispatches for a row-wise batch kind.
-
-            range_mass and point_density answer each row independently, so the
-            concatenated slice answers are bitwise identical to one full-batch
-            call — slicing only adds timing points for the percentiles.
-            """
-            pieces = np.array_split(array, min(self.LATENCY_SLICES, array.shape[0]))
-            return [(piece.shape[0], lambda p=piece: fn(p)) for piece in pieces]
-
-        if log.range_queries.shape[0]:
-            answers["range_mass"] = np.concatenate(
-                timed("range_mass", sliced(log.range_queries, self.engine.range_mass))
-            )
-        if log.density_points.shape[0]:
-            answers["point_density"] = np.concatenate(
-                timed(
-                    "point_density",
-                    sliced(log.density_points, self.engine.point_density),
-                )
-            )
-        if log.top_k.shape[0]:
-            answers["top_k"] = timed(
-                "top_k",
-                [(1, lambda k=int(k): self.engine.top_k_cells(k)) for k in log.top_k],
-            )
-        if log.quantile_levels.shape[0]:
-            contour_lists = timed(
-                "quantiles",
-                [
-                    (1, lambda lv=float(level): self.engine.quantile_contours([lv]))
-                    for level in log.quantile_levels
-                ],
-            )
-            answers["quantiles"] = [contours[0] for contours in contour_lists]
-        if log.n_marginal_requests:
-            answers["marginals"] = timed(
-                "marginals",
-                [
-                    (1, self.engine.axis_marginals)
-                    for _ in range(log.n_marginal_requests)
-                ],
-            )
-        if log.od_top_k.shape[0]:
-            answers["od_top_k"] = timed(
-                "od_top_k",
-                [(1, lambda k=int(k): self.engine.od_top_k(k)) for k in log.od_top_k],
-            )
-        if log.transition_top_k.shape[0]:
-            answers["transition_top_k"] = timed(
-                "transition_top_k",
-                [
-                    (1, lambda k=int(k): self.engine.transition_top_k(k))
-                    for k in log.transition_top_k
-                ],
-            )
-        if log.length_histogram_bins.shape[0]:
-            answers["length_histogram"] = timed(
-                "length_histogram",
-                [
-                    (1, lambda b=int(bins): self.engine.length_histogram(b))
-                    for bins in log.length_histogram_bins
-                ],
-            )
+            per_kind[kind.value] = latency_stats(len(operations), latencies)
+            if not spec.per_item:
+                answers[kind.value] = outputs
+            elif isinstance(outputs[0], np.ndarray):
+                answers[kind.value] = np.concatenate(outputs)
+            else:
+                answers[kind.value] = [answer for output in outputs for answer in output]
 
         total_ops = sum(stats["count"] for stats in per_kind.values())
         total_seconds = sum(stats["seconds"] for stats in per_kind.values())

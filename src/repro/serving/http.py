@@ -58,6 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.queries.engine import latency_stats
+from repro.queries.kinds import KINDS
 from repro.serving.server import BackpressureError, ServingServer
 from repro.serving.shm import (
     SnapshotReader,
@@ -69,7 +70,6 @@ from repro.serving.wire import (
     ROW_KINDS,
     ROWS_MEDIA_TYPE,
     SCHEMA_VERSION,
-    TRAJECTORY_KINDS,
     QueryKind,
     QueryRequest,
     QueryResponse,
@@ -115,18 +115,6 @@ class _Rejection(Exception):
 def _is_row_frame(content_type: str) -> bool:
     """Whether a ``Content-Type`` names the row frame (case-insensitive, parameters ignored)."""
     return content_type.partition(";")[0].strip().lower() == ROWS_MEDIA_TYPE
-
-
-def _request_ops(request: QueryRequest) -> int:
-    """How many logical operations one request carries (for throughput stats)."""
-    payload = request.payload
-    if request.kind is QueryKind.RANGE_MASS:
-        return max(1, len(payload["queries"]))
-    if request.kind is QueryKind.POINT_DENSITY:
-        return max(1, len(payload["points"]))
-    if request.kind is QueryKind.QUANTILES:
-        return max(1, len(payload["levels"]))
-    return 1
 
 
 class HttpServingFront:
@@ -313,7 +301,8 @@ class HttpServingFront:
         kind = request.kind.value
         self._latencies[kind].append(latency)
         self._seconds[kind] += latency
-        self._counts[kind] += _request_ops(request)
+        spec = KINDS[request.kind]
+        self._counts[kind] += max(1, len(request.payload[spec.field])) if spec.per_item else 1
         self._served += 1
 
     def _classify(self, exc: BaseException) -> _Rejection:
@@ -384,9 +373,14 @@ class HttpServingFront:
         return outcomes
 
     def _answer_single(self, request: QueryRequest) -> QueryResponse:
-        """One non-range request, answered under the appropriate seqlock reader."""
-        kind, payload = request.kind, request.payload
-        if kind in TRAJECTORY_KINDS:
+        """One request, answered under the seqlock reader of its kind's surface.
+
+        The engine call and the shaping of its answer into JSON-ready values
+        both run inside the read, so the answer is materialised from one
+        consistent snapshot.
+        """
+        kind, spec = request.kind, KINDS[request.kind]
+        if spec.trajectory:
             if self._trajectory_spec is None:
                 raise WireFormatError(
                     f"{kind.value} needs the trajectory surface, but this front "
@@ -394,70 +388,18 @@ class HttpServingFront:
                 )
             if self._trajectory_reader is None:
                 self._trajectory_reader = TrajectorySnapshotReader(self._trajectory_spec)
-            result, generation, epoch = self._trajectory_reader.read(
-                lambda engine: self._trajectory_result(engine, kind, payload),
-                timeout=self._server.read_timeout,
-                torn_timeout=self._server.torn_timeout,
-            )
+            reader = self._trajectory_reader
         else:
             if self._point_reader is None:
                 self._point_reader = SnapshotReader(self._server.writer.spec)
-            result, generation, epoch = self._point_reader.read(
-                lambda engine: self._point_result(engine, kind, payload),
-                timeout=self._server.read_timeout,
-                torn_timeout=self._server.torn_timeout,
-            )
-        return QueryResponse(kind, result, generation=generation, epoch=epoch)
-
-    @staticmethod
-    def _point_result(engine, kind: QueryKind, payload: dict):
-        """Wire-ready answer for a point kind (materialised inside the seqlock)."""
-        if kind is QueryKind.POINT_DENSITY:
-            points = np.asarray(payload["points"], dtype=float)
-            return engine.point_density(points)
-        if kind is QueryKind.TOP_K:
-            cells = engine.top_k_cells(int(payload["k"]))
-            return {
-                "flat_indices": cells.flat_indices.tolist(),
-                "rows": cells.rows.tolist(),
-                "cols": cells.cols.tolist(),
-                "masses": cells.masses.tolist(),
-                "centers": cells.centers.tolist(),
-            }
-        if kind is QueryKind.QUANTILES:
-            contours = engine.quantile_contours(
-                [float(level) for level in payload["levels"]]
-            )
-            return [
-                {
-                    "level": contour.level,
-                    "threshold": contour.threshold,
-                    "covered_mass": contour.covered_mass,
-                    "n_cells": contour.n_cells,
-                    "mask": contour.mask.astype(int).tolist(),
-                }
-                for contour in contours
-            ]
-        x_marginal, y_marginal = engine.axis_marginals()
-        return {"x": x_marginal.tolist(), "y": y_marginal.tolist()}
-
-    @staticmethod
-    def _trajectory_result(engine, kind: QueryKind, payload: dict):
-        """JSON-ready answer for a trajectory kind (materialised inside the seqlock)."""
-        if kind is QueryKind.LENGTH_HISTOGRAM:
-            counts, edges = engine.length_histogram(int(payload["bins"]))
-            return {"counts": counts.tolist(), "edges": edges.tolist()}
-        top = (
-            engine.od_top_k(int(payload["k"]))
-            if kind is QueryKind.OD_TOP_K
-            else engine.transition_top_k(int(payload["k"]))
+            reader = self._point_reader
+        arguments = spec.arguments(request.payload.get(spec.field))
+        result, generation, epoch = reader.read(
+            lambda engine: spec.shape(getattr(engine, spec.method)(*arguments)),
+            timeout=self._server.read_timeout,
+            torn_timeout=self._server.torn_timeout,
         )
-        return {
-            "from_cells": top.from_cells.tolist(),
-            "to_cells": top.to_cells.tolist(),
-            "counts": top.counts.tolist(),
-            "fractions": top.fractions.tolist(),
-        }
+        return QueryResponse(kind, result, generation=generation, epoch=epoch)
 
     # -------------------------------------------------------------- HTTP layer
     async def _handle_connection(self, reader, writer) -> None:

@@ -7,6 +7,10 @@ same kind strings key :class:`~repro.queries.engine.ReplayReport` stats and
 replay answer dicts — so a producer and a consumer disagreeing on a kind name
 (the ``"density"``/``"point_density"`` mismatch PR 8 fixed ad hoc) is now a
 :class:`WireFormatError` at the boundary, not a silent key miss downstream.
+:class:`QueryKind`, :class:`WireFormatError` and the kind table
+:data:`~repro.queries.kinds.KINDS` live in :mod:`repro.queries.kinds` (the
+replay reads them too) and are re-exported here; each kind's required payload
+field and the kind sets below are read from that table.
 
 The schema is versioned: ``schema_version`` rides in every message, and a
 parser rejects versions it does not speak instead of misinterpreting payloads.
@@ -36,7 +40,6 @@ block of the wrong size as :class:`WireFormatError`.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import struct
@@ -44,6 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 import numpy as np
+
+from repro.queries.kinds import KINDS, QueryKind, WireFormatError
 
 #: Version of the JSON request/response schema this build speaks.
 SCHEMA_VERSION = 1
@@ -54,73 +59,15 @@ ROWS_SCHEMA_VERSION = 2
 #: Content-Type media type of a row-frame body.
 ROWS_MEDIA_TYPE = "application/vnd.repro.rows"
 
-
-class WireFormatError(ValueError):
-    """A message failed wire-schema validation (unknown kind, bad shape, ...)."""
-
-
-class QueryKind(str, enum.Enum):
-    """The closed set of operation kinds the serving tier speaks.
-
-    Values double as the kind strings of replay reports and answer dicts, the
-    HTTP request ``kind`` field, and worker task tags — one vocabulary, defined
-    once.
-    """
-
-    RANGE_MASS = "range_mass"
-    POINT_DENSITY = "point_density"
-    TOP_K = "top_k"
-    QUANTILES = "quantiles"
-    MARGINALS = "marginals"
-    OD_TOP_K = "od_top_k"
-    TRANSITION_TOP_K = "transition_top_k"
-    LENGTH_HISTOGRAM = "length_histogram"
-
-    @classmethod
-    def parse(cls, value: object) -> "QueryKind":
-        """Validate ``value`` as a kind; :class:`WireFormatError` on anything else."""
-        try:
-            return cls(value)
-        except ValueError:
-            valid = ", ".join(kind.value for kind in cls)
-            raise WireFormatError(
-                f"unknown query kind {value!r}; valid kinds: {valid}"
-            ) from None
-
-
 #: Kinds every point engine serves (the :class:`~repro.queries.QueryEngine` surface).
-POINT_KINDS = frozenset(
-    {
-        QueryKind.RANGE_MASS,
-        QueryKind.POINT_DENSITY,
-        QueryKind.TOP_K,
-        QueryKind.QUANTILES,
-        QueryKind.MARGINALS,
-    }
-)
+POINT_KINDS = frozenset(kind for kind, spec in KINDS.items() if not spec.trajectory)
 
 #: Kinds that need the trajectory surface (:class:`~repro.queries.TrajectoryQueryEngine`).
-TRAJECTORY_KINDS = frozenset(
-    {QueryKind.OD_TOP_K, QueryKind.TRANSITION_TOP_K, QueryKind.LENGTH_HISTOGRAM}
-)
-
-#: payload field each kind requires (empty tuple: no required fields).
-_REQUIRED_FIELDS: dict[QueryKind, tuple[str, ...]] = {
-    QueryKind.RANGE_MASS: ("queries",),
-    QueryKind.POINT_DENSITY: ("points",),
-    QueryKind.TOP_K: ("k",),
-    QueryKind.QUANTILES: ("levels",),
-    QueryKind.MARGINALS: (),
-    QueryKind.OD_TOP_K: ("k",),
-    QueryKind.TRANSITION_TOP_K: ("k",),
-    QueryKind.LENGTH_HISTOGRAM: ("bins",),
-}
-
+TRAJECTORY_KINDS = frozenset(kind for kind, spec in KINDS.items() if spec.trajectory)
 
 #: kind -> (payload field, float columns per row) for the kinds with a row frame.
 ROW_KINDS: dict[QueryKind, tuple[str, int]] = {
-    QueryKind.RANGE_MASS: ("queries", 4),
-    QueryKind.POINT_DENSITY: ("points", 2),
+    kind: (spec.field, spec.columns) for kind, spec in KINDS.items() if spec.columns
 }
 
 _HEADER_LENGTH = struct.Struct("<I")
@@ -220,11 +167,9 @@ class QueryRequest:
             raise WireFormatError(
                 f"request payload must be a JSON object, got {type(self.payload).__name__}"
             )
-        for name in _REQUIRED_FIELDS[self.kind]:
-            if name not in self.payload:
-                raise WireFormatError(
-                    f"{self.kind.value} request payload requires field {name!r}"
-                )
+        name = KINDS[self.kind].field
+        if name is not None and name not in self.payload:
+            raise WireFormatError(f"{self.kind.value} request payload requires field {name!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -359,19 +304,10 @@ def requests_from_log(log) -> Iterator[QueryRequest]:
     :class:`~repro.queries.engine.WorkloadReplay`, so the concatenated responses
     compare directly against a serial replay's answer arrays.
     """
-    for row in log.range_queries:
-        yield QueryRequest(QueryKind.RANGE_MASS, {"queries": [list(map(float, row))]})
-    for point in log.density_points:
-        yield QueryRequest(QueryKind.POINT_DENSITY, {"points": [list(map(float, point))]})
-    for k in log.top_k:
-        yield QueryRequest(QueryKind.TOP_K, {"k": int(k)})
-    for level in log.quantile_levels:
-        yield QueryRequest(QueryKind.QUANTILES, {"levels": [float(level)]})
-    for _ in range(log.n_marginal_requests):
-        yield QueryRequest(QueryKind.MARGINALS)
-    for k in log.od_top_k:
-        yield QueryRequest(QueryKind.OD_TOP_K, {"k": int(k)})
-    for k in log.transition_top_k:
-        yield QueryRequest(QueryKind.TRANSITION_TOP_K, {"k": int(k)})
-    for bins in log.length_histogram_bins:
-        yield QueryRequest(QueryKind.LENGTH_HISTOGRAM, {"bins": int(bins)})
+    for kind, spec in KINDS.items():
+        for operation in log.operations(kind):
+            if spec.field is None:
+                yield QueryRequest(kind)
+            else:
+                value = operation.tolist()
+                yield QueryRequest(kind, {spec.field: [value] if spec.per_item else value})

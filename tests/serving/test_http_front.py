@@ -13,6 +13,7 @@ lets a response mix two epochs.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import socket
@@ -89,6 +90,31 @@ def hand_frame(header: object) -> bytes:
     return struct.pack("<I", len(head)) + head
 
 
+@contextlib.contextmanager
+def trajectory_front(engine: TrajectoryQueryEngine):
+    """A front serving ``engine`` on both surfaces, published at epoch 7."""
+    with ServingServer(GRID, workers=2) as server:
+        server.publish(engine.estimate, epoch=7)
+        server.start()
+        with TrajectorySnapshotWriter(
+            GRID, max_trajectories=64, max_pairs=4096
+        ) as trajectory_writer:
+            trajectory_writer.publish(engine, epoch=7)
+            with HttpServingFront(server, trajectory_spec=trajectory_writer.spec) as front:
+                yield front
+
+
+def contour_fields(contour) -> dict:
+    """The v1 JSON form of one quantile contour, written out independently."""
+    return {
+        "level": contour.level,
+        "threshold": contour.threshold,
+        "covered_mass": contour.covered_mass,
+        "n_cells": contour.n_cells,
+        "mask": contour.mask.astype(int).tolist(),
+    }
+
+
 def send_with_client(client: HttpQueryClient, front: HttpServingFront, request):
     """The client's own transport: row frames for range/density rows, JSON otherwise."""
     return client.query(request)
@@ -99,6 +125,7 @@ def send_as_json(client: HttpQueryClient, front: HttpServingFront, request):
     status, payload, headers = raw_request(front.host, front.port, "/query", request.to_json())
     assert status == 200, payload
     assert headers["Content-Type"] == "application/json"
+    assert list(json.loads(payload)) == ["kind", "result", "generation", "epoch", "schema_version"]
     return QueryResponse.from_json(payload)
 
 
@@ -119,39 +146,38 @@ def replay_matches_serial_engine(send) -> None:
     )
     _, serial = WorkloadReplay(engine).replay(log)
 
-    with ServingServer(GRID, workers=2) as server:
-        server.publish(engine.estimate, epoch=7)
-        server.start()
-        with TrajectorySnapshotWriter(
-            GRID, max_trajectories=64, max_pairs=4096
-        ) as trajectory_writer:
-            trajectory_writer.publish(engine, epoch=7)
-            with HttpServingFront(
-                server, trajectory_spec=trajectory_writer.spec
-            ) as front:
-                client = HttpQueryClient(front.host, front.port)
-                responses: dict[str, list] = {}
-                for request in requests_from_log(log):
-                    response = send(client, front, request)
-                    assert response.kind == request.kind
-                    assert response.epoch == 7
-                    responses.setdefault(request.kind.value, []).append(
-                        response.result
-                    )
-                client.close()
+    with trajectory_front(engine) as front:
+        client = HttpQueryClient(front.host, front.port)
+        responses: dict[str, list] = {}
+        for request in requests_from_log(log):
+            response = send(client, front, request)
+            assert response.kind == request.kind
+            assert response.epoch == 7
+            responses.setdefault(request.kind.value, []).append(response.result)
+        client.close()
 
+    # One response per logged operation, every kind present.
+    assert {kind: len(results) for kind, results in responses.items()} == {
+        kind: len(answers) for kind, answers in serial.items()
+    }
     # Vectorised kinds: requests_from_log splits per row, so the
     # concatenated results must equal the serial batch answers bitwise
     # (``==`` would call -0.0 equal to 0.0).
     for kind in ("range_mass", "point_density"):
         served = np.asarray([v for result in responses[kind] for v in result])
         assert served.tobytes() == serial[kind].tobytes()
-    # Structured kinds, field by field.
+    # Structured kinds, field by field; each result keeps its key order, which
+    # json.loads preserves from the raw v1 body.
     for result, cells in zip(responses["top_k"], serial["top_k"]):
+        assert list(result) == ["flat_indices", "rows", "cols", "masses", "centers"]
         assert result["flat_indices"] == cells.flat_indices.tolist()
+        assert result["rows"] == cells.rows.tolist()
+        assert result["cols"] == cells.cols.tolist()
         assert result["masses"] == cells.masses.tolist()
         assert result["centers"] == cells.centers.tolist()
     for result, contour in zip(responses["quantiles"], serial["quantiles"]):
+        assert len(result) == 1
+        assert list(result[0]) == ["level", "threshold", "covered_mass", "n_cells", "mask"]
         assert result[0]["level"] == contour.level
         assert result[0]["threshold"] == contour.threshold
         assert result[0]["covered_mass"] == contour.covered_mass
@@ -160,10 +186,13 @@ def replay_matches_serial_engine(send) -> None:
     for result, (x_marginal, y_marginal) in zip(
         responses["marginals"], serial["marginals"]
     ):
+        assert list(result) == ["x", "y"]
         assert result["x"] == x_marginal.tolist()
         assert result["y"] == y_marginal.tolist()
     # Trajectory kinds.
+    pair_keys = ["from_cells", "to_cells", "counts", "fractions"]
     for result, top in zip(responses["od_top_k"], serial["od_top_k"]):
+        assert list(result) == pair_keys
         assert result["from_cells"] == top.from_cells.tolist()
         assert result["to_cells"] == top.to_cells.tolist()
         assert result["counts"] == top.counts.tolist()
@@ -171,11 +200,15 @@ def replay_matches_serial_engine(send) -> None:
     for result, top in zip(
         responses["transition_top_k"], serial["transition_top_k"]
     ):
+        assert list(result) == pair_keys
+        assert result["from_cells"] == top.from_cells.tolist()
+        assert result["to_cells"] == top.to_cells.tolist()
         assert result["counts"] == top.counts.tolist()
         assert result["fractions"] == top.fractions.tolist()
     for result, (counts, edges) in zip(
         responses["length_histogram"], serial["length_histogram"]
     ):
+        assert list(result) == ["counts", "edges"]
         assert result["counts"] == counts.tolist()
         assert result["edges"] == edges.tolist()
 
@@ -192,6 +225,94 @@ class TestEndToEndReplay:
     def test_query_log_as_json_equals_serial_engine(self):
         """The same log with every request POSTed as v1 JSON, as ``curl`` sends it."""
         replay_matches_serial_engine(send_as_json)
+
+    def test_forty_level_quantile_log_matches_replay(self):
+        """More levels than the replay's latency slices: its joined slices equal
+        the front's answers, one level per request or all levels in one."""
+        engine = make_trajectory_engine(seed=0)
+        log = QueryLog.random(GRID.domain, n_range=0, n_quantiles=40, seed=2)
+        report, serial = WorkloadReplay(engine).replay(log)
+        assert report.per_kind["quantiles"]["count"] == 40
+        expected = [contour_fields(contour) for contour in serial["quantiles"]]
+        levels = log.quantile_levels.tolist()
+        assert [row["level"] for row in expected] == levels
+        all_levels = QueryRequest(QueryKind.QUANTILES, {"levels": levels})
+        with trajectory_front(engine) as front:
+            with HttpQueryClient(front.host, front.port) as client:
+                one_by_one = [client.query(request).result for request in requests_from_log(log)]
+                together = client.query(all_levels).result
+        assert [result[0] for result in one_by_one] == expected
+        assert together == expected
+
+    def test_metrics_count_each_kinds_operations(self):
+        """Per-item requests count their items; every other request counts one."""
+        requests = [
+            QueryRequest(QueryKind.RANGE_MASS, {"queries": [[0.1, 0.6, 0.2, 0.9]]}),
+            QueryRequest(QueryKind.POINT_DENSITY, {"points": [[0.1, 0.2], [0.5, 0.5], [0.9, 0.3]]}),
+            QueryRequest(QueryKind.TOP_K, {"k": 3}),
+            QueryRequest(QueryKind.QUANTILES, {"levels": [0.25, 0.75]}),
+            QueryRequest(QueryKind.MARGINALS),
+            QueryRequest(QueryKind.OD_TOP_K, {"k": 2}),
+            QueryRequest(QueryKind.TRANSITION_TOP_K, {"k": 2}),
+            QueryRequest(QueryKind.LENGTH_HISTOGRAM, {"bins": 4}),
+        ]
+        with trajectory_front(make_trajectory_engine(seed=0)) as front:
+            with HttpQueryClient(front.host, front.port) as client:
+                for request in requests:
+                    client.query(request)
+                metrics = client.metrics()
+        assert metrics["served_requests"] == 8
+        assert {kind: stats["count"] for kind, stats in metrics["per_kind"].items()} == {
+            "range_mass": 1,
+            "point_density": 3,
+            "top_k": 1,
+            "quantiles": 2,
+            "marginals": 1,
+            "od_top_k": 1,
+            "transition_top_k": 1,
+            "length_histogram": 1,
+        }
+
+    def test_engine_methods_patched_after_import_answer(self, monkeypatch):
+        """The front looks each method up on the engine per request, so a method
+        swapped on the engine class after import (as tracing probes do) answers."""
+        owners = {
+            "point_density": QueryEngine,
+            "top_k_cells": QueryEngine,
+            "quantile_contours": QueryEngine,
+            "axis_marginals": QueryEngine,
+            "od_top_k": TrajectoryQueryEngine,
+            "transition_top_k": TrajectoryQueryEngine,
+            "length_histogram": TrajectoryQueryEngine,
+        }
+        called: list[str] = []
+        for name, owner in owners.items():
+            original = getattr(owner, name)
+
+            def probe(self, *args, _name=name, _original=original):
+                called.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, probe)
+        engine = make_trajectory_engine(seed=0)
+        log = QueryLog.random(
+            GRID.domain,
+            n_range=0,
+            n_density=1,
+            n_top_k=1,
+            n_quantiles=1,
+            n_marginals=1,
+            n_od_top_k=1,
+            n_transition_top_k=1,
+            n_length_histograms=1,
+            seed=3,
+        )
+        # range_mass is left out: the worker processes answer it, not the front.
+        with trajectory_front(engine) as front:
+            with HttpQueryClient(front.host, front.port) as client:
+                for request in requests_from_log(log):
+                    client.query(request)
+        assert called == list(owners)
 
     def test_concurrent_clients_coalesce_and_answer_identically(self):
         """Parallel clients share worker dispatches; every answer stays serial-exact."""
@@ -232,7 +353,8 @@ class TestEndToEndReplay:
                     thread.start()
                 for thread in threads:
                     thread.join()
-                metrics = HttpQueryClient(front.host, front.port).metrics()
+                with HttpQueryClient(front.host, front.port) as client:
+                    metrics = client.metrics()
         assert not failures
         assert metrics["served_requests"] == 64
         assert metrics["per_kind"]["range_mass"]["count"] == 64
@@ -525,7 +647,8 @@ class TestLifecycle:
             server.start()
             with HttpServingFront(server) as front:
                 assert front.start() is front
-                metrics = HttpQueryClient(front.host, front.port).metrics()
+                with HttpQueryClient(front.host, front.port) as client:
+                    metrics = client.metrics()
                 assert metrics["generation"] == 2
                 assert metrics["epoch"] == 3
                 assert metrics["served_requests"] == 0

@@ -20,11 +20,9 @@ from hypothesis import strategies as st
 from repro.core.domain import GridSpec, SpatialDomain
 from repro.queries import QueryEngine, QueryLog, TrajectoryQueryEngine, WorkloadReplay
 from repro.serving.wire import (
-    POINT_KINDS,
     ROW_KINDS,
     ROWS_SCHEMA_VERSION,
     SCHEMA_VERSION,
-    TRAJECTORY_KINDS,
     QueryKind,
     QueryRequest,
     QueryResponse,
@@ -53,10 +51,6 @@ class TestQueryKind:
     def test_parse_rejects_unknown(self):
         with pytest.raises(WireFormatError, match="unknown query kind 'density'"):
             QueryKind.parse("density")
-
-    def test_point_and_trajectory_kinds_partition_the_enum(self):
-        assert POINT_KINDS | TRAJECTORY_KINDS == frozenset(QueryKind)
-        assert POINT_KINDS & TRAJECTORY_KINDS == frozenset()
 
     def test_replay_report_keys_are_wire_kinds(self):
         """Report stats and answers key on enum values — the mismatch-proofing."""
