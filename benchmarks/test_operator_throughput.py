@@ -5,10 +5,11 @@ Backs the acceptance criteria of the transition-operator engine:
 * the vectorised sampler (per-row CDFs + one ``searchsorted`` over a single uniform
   batch, or the structured disk sampler) must deliver at least a 10x throughput
   improvement over the seed implementation's per-distinct-cell ``Generator.choice``
-  loop;
+  loop; the row-CDF sampler runs on DAM's dense oracle matrix
+  (``operator.to_dense()``), as Geo-I's dense transition does;
 * expectation maximisation driven by the structured operator must reproduce the
   dense-matrix estimates to 1e-10 on DAM, DAM-NS and HUEM (same fixed iteration
-  count, so the two backends follow the same trajectory).
+  count, so the two solves follow the same trajectory).
 
 Results are recorded to ``benchmarks/results/operator_throughput.txt``.
 """
@@ -24,7 +25,7 @@ from repro.core.dam import DiscreteDAM
 from repro.core.domain import GridSpec
 from repro.core.huem import DiscreteHUEM
 from repro.core.postprocess import expectation_maximization
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, sample_grouped_inverse_cdf
 
 # Figure-9-scale configuration: the per-cell choice loop is what collapses at fine
 # grid resolutions, so that is where the engine has to prove itself.
@@ -43,6 +44,13 @@ def _privatize_cells_seed_loop(transition: np.ndarray, cells: np.ndarray, seed) 
         mask = cells == cell
         reports[mask] = rng.choice(n_out, size=int(mask.sum()), p=transition[cell])
     return reports
+
+
+def _privatize_cells_row_cdf(row_cdf: np.ndarray, cells: np.ndarray, seed) -> np.ndarray:
+    """The dense row-CDF sampler, as a dense-transition mechanism runs it."""
+    return sample_grouped_inverse_cdf(
+        ensure_rng(seed), cells, row_cdf.__getitem__, row_cdf.shape[1]
+    )
 
 
 def _best_of(callable_, repeats: int = 3) -> float:
@@ -66,17 +74,17 @@ def cells(grid) -> np.ndarray:
 
 def test_vectorised_sampler_speedup(grid, cells, record_result):
     """Both new samplers must beat the seed per-cell choice loop by >= 10x."""
-    operator_backed = DiscreteDAM(grid, EPSILON, backend="operator")
-    dense_backed = DiscreteDAM(grid, EPSILON, backend="dense")
-    transition = dense_backed.transition
+    operator_backed = DiscreteDAM(grid, EPSILON)
+    transition = operator_backed.operator.to_dense()
+    row_cdf = np.cumsum(transition, axis=1)
 
-    # Warm up caches (row CDFs, operator sampling tables) outside the timed region.
+    # Warm up caches (operator sampling tables) outside the timed region.
     operator_backed.privatize_cells(cells[:100], seed=0)
-    dense_backed.privatize_cells(cells[:100], seed=0)
+    _privatize_cells_row_cdf(row_cdf, cells[:100], seed=0)
 
     t_seed = _best_of(lambda: _privatize_cells_seed_loop(transition, cells, seed=1), repeats=2)
     t_operator = _best_of(lambda: operator_backed.privatize_cells(cells, seed=1))
-    t_dense = _best_of(lambda: dense_backed.privatize_cells(cells, seed=1))
+    t_dense = _best_of(lambda: _privatize_cells_row_cdf(row_cdf, cells, seed=1))
 
     speedup_operator = t_seed / t_operator
     speedup_dense = t_seed / t_dense
@@ -99,7 +107,7 @@ def test_vectorised_sampler_speedup(grid, cells, record_result):
         },
     )
     assert speedup_operator >= 10.0, f"operator sampler only {speedup_operator:.1f}x faster"
-    # The generic row-CDF sampler (used by dense-backed mechanisms) is secondary;
+    # The generic row-CDF sampler (used by dense-transition mechanisms) is secondary;
     # it must still be several times faster than the per-cell loop.
     assert speedup_dense >= 4.0, f"row-CDF sampler only {speedup_dense:.1f}x faster"
 
@@ -107,29 +115,28 @@ def test_vectorised_sampler_speedup(grid, cells, record_result):
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda grid, backend: DiscreteDAM(grid, EPSILON, backend=backend),
-        lambda grid, backend: DiscreteDAM(grid, EPSILON, use_shrinkage=False, backend=backend),
-        lambda grid, backend: DiscreteHUEM(grid, EPSILON, backend=backend),
+        lambda grid: DiscreteDAM(grid, EPSILON),
+        lambda grid: DiscreteDAM(grid, EPSILON, use_shrinkage=False),
+        lambda grid: DiscreteHUEM(grid, EPSILON),
     ],
     ids=["DAM", "DAM-NS", "HUEM"],
 )
 def test_em_iteration_parity(grid, cells, factory):
     """Structured-operator EM reproduces dense-matrix EM estimates to 1e-10."""
-    operator_backed = factory(grid, "operator")
-    dense_backed = factory(grid, "dense")
-    counts = operator_backed.aggregate(operator_backed.privatize_cells(cells, seed=2))
+    mechanism = factory(grid)
+    counts = mechanism.aggregate(mechanism.privatize_cells(cells, seed=2))
     via_operator = expectation_maximization(
-        operator_backed.operator, counts, max_iterations=EM_ITERATIONS, tolerance=0.0
+        mechanism.operator, counts, max_iterations=EM_ITERATIONS, tolerance=0.0
     )
     via_dense = expectation_maximization(
-        dense_backed.transition, counts, max_iterations=EM_ITERATIONS, tolerance=0.0
+        mechanism.operator.to_dense(), counts, max_iterations=EM_ITERATIONS, tolerance=0.0
     )
     np.testing.assert_allclose(via_operator.estimate, via_dense.estimate, atol=1e-10)
 
 
 def test_em_matvec_speed(grid, cells, record_result):
     """The structured matvecs make each EM iteration cheaper than the dense matmuls."""
-    operator_backed = DiscreteDAM(grid, EPSILON, backend="operator")
+    operator_backed = DiscreteDAM(grid, EPSILON)
     dense = operator_backed.operator.to_dense()
     counts = operator_backed.aggregate(operator_backed.privatize_cells(cells, seed=3))
 
@@ -160,7 +167,7 @@ def test_em_matvec_speed(grid, cells, record_result):
 
 def test_streaming_matches_batch(grid, cells):
     """Sharded ingestion with a shared seed reproduces the batch histogram exactly."""
-    mechanism = DiscreteDAM(grid, EPSILON, backend="operator")
+    mechanism = DiscreteDAM(grid, EPSILON)
     batch = mechanism.run_cells(cells, seed=4)
     aggregator = mechanism.streaming_aggregator(seed=4)
     for chunk in np.array_split(cells, 64):

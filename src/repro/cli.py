@@ -6,10 +6,9 @@ Two subcommands cover the common workflows without writing Python:
     Read ``x,y`` locations from a CSV file (or generate a synthetic dataset), run the
     DAM pipeline at a chosen budget and grid size, and print the estimated density map
     (optionally as an ASCII heat map) together with the Wasserstein error against the
-    non-private histogram.  ``--backend`` switches between the structured
-    transition-operator engine and the dense matrix; ``--chunk-size`` streams the
-    points through the pipeline in bounded-memory shards; ``--workers`` privatizes
-    the shards on a process pool (bit-identical to the serial run).
+    non-private histogram.  The points are privatized in shards of ``--chunk-size``
+    users on ``--workers`` processes; any shard size and worker count give the
+    result of one serial pass.
 
 ``python -m repro figure``
     Regenerate one of the paper's figures (``fig8``, ``fig9-small-d``, ``fig9-large-d``,
@@ -80,10 +79,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backend import VALID_BACKENDS
 from repro.core.domain import GridSpec, SpatialDomain
 from repro.core.parallel import DEFAULT_SHARD_SIZE, ParallelPipeline
-from repro.core.pipeline import DAMPipeline, estimate_spatial_distribution
+from repro.core.pipeline import estimate_spatial_distribution
 from repro.datasets.loader import DATASET_NAMES, load_dataset
 from repro.datasets.synthetic import DRIFT_SCENARIOS
 from repro.datasets.trajectories import TRAJECTORY_DRIFT_SCENARIOS, generate_trajectories
@@ -150,18 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--d", type=int, default=12, help="grid side length")
     estimate.add_argument("--mechanism", choices=("dam", "dam-ns", "huem"), default="dam")
     estimate.add_argument(
-        "--backend",
-        choices=VALID_BACKENDS,
-        default="operator",
-        help="transition backend: structured operator engine (default) "
-             "or the dense matrix",
-    )
-    estimate.add_argument(
         "--chunk-size",
         type=int,
         default=None,
-        help="stream the points through the pipeline in shards of this "
-             "size (bounded memory; same result as one batch)",
+        help="shard size: users privatized per shard (default "
+             f"{DEFAULT_SHARD_SIZE}; same result as one batch)",
     )
     estimate.add_argument(
         "--workers",
@@ -220,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--epsilon", type=float, default=3.5, help="privacy budget")
     query.add_argument("--d", type=int, default=16, help="grid side length")
     query.add_argument("--mechanism", choices=("dam", "dam-ns", "huem"), default="dam")
-    query.add_argument("--backend", choices=VALID_BACKENDS, default="operator")
     query.add_argument("--seed", type=int, default=0)
     query.add_argument(
         "--n-queries",
@@ -403,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--epsilon", type=float, default=3.5, help="privacy budget")
     stream.add_argument("--d", type=int, default=16, help="grid side length")
     stream.add_argument("--mechanism", choices=("dam", "dam-ns", "huem"), default="dam")
-    stream.add_argument("--backend", choices=VALID_BACKENDS, default="operator")
     stream.add_argument(
         "--workers",
         type=int,
@@ -464,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--epsilon", type=float, default=3.5, help="privacy budget")
     serve.add_argument("--d", type=int, default=16, help="grid side length")
     serve.add_argument("--mechanism", choices=("dam", "dam-ns", "huem"), default="dam")
-    serve.add_argument("--backend", choices=VALID_BACKENDS, default="operator")
     serve.add_argument(
         "--serve-workers",
         type=int,
@@ -549,34 +537,15 @@ def _run_estimate(args) -> int:
         raise SystemExit("--workers must be a positive integer")
     if args.chunk_size is not None and args.chunk_size < 1:
         raise SystemExit("--chunk-size must be a positive integer")
-    if args.workers > 1:
-        domain = SpatialDomain.from_points(points, relative_pad=1e-9)
-        pipeline = ParallelPipeline(
-            domain,
-            args.d,
-            args.epsilon,
-            mechanism=args.mechanism,
-            backend=args.backend,
-            workers=args.workers,
-            shard_size=args.chunk_size or DEFAULT_SHARD_SIZE,
-        )
-        result = pipeline.run(points, seed=args.seed)
-    elif args.chunk_size is not None:
-        domain = SpatialDomain.from_points(points, relative_pad=1e-9)
-        pipeline = DAMPipeline(
-            domain, args.d, args.epsilon, mechanism=args.mechanism, backend=args.backend
-        )
-        n_chunks = max(1, -(-points.shape[0] // args.chunk_size))
-        result = pipeline.run_stream(np.array_split(points, n_chunks), seed=args.seed)
-    else:
-        result = estimate_spatial_distribution(
-            points,
-            epsilon=args.epsilon,
-            d=args.d,
-            mechanism=args.mechanism,
-            backend=args.backend,
-            seed=args.seed,
-        )
+    pipeline = ParallelPipeline(
+        SpatialDomain.from_points(points, relative_pad=1e-9),
+        args.d,
+        args.epsilon,
+        mechanism=args.mechanism,
+        workers=args.workers,
+        shard_size=args.chunk_size or DEFAULT_SHARD_SIZE,
+    )
+    result = pipeline.run(points, seed=args.seed)
     error = wasserstein2_auto(result.true_distribution, result.estimate)
     print(f"users: {result.n_users}   mechanism: {result.mechanism}   "
           f"epsilon: {args.epsilon}   d: {args.d}   b_hat: {result.b_hat}")
@@ -603,7 +572,6 @@ def _run_query(args) -> int:
         epsilon=args.epsilon,
         d=args.d,
         mechanism=args.mechanism,
-        backend=args.backend,
         seed=args.seed,
     )
     engine = QueryEngine(result.estimate)
@@ -785,7 +753,6 @@ def _stream_session(config: dict) -> tuple[dict, list[dict]]:
         config["d"],
         config["epsilon"],
         mechanism=config["mechanism"],
-        backend=config["backend"],
         workers=config["workers"],
         window_epochs=config["window"],
         decay=config["decay"],
@@ -882,6 +849,16 @@ def _run_stream(args) -> int:
         )
     if args.replay is not None:
         config = json.loads(Path(args.replay).read_text())["config"]
+        # Logs from before the disk operator became the only transition path carry
+        # the path they ran on.  The dense row sampler draws different reports from
+        # the same seed, so such a session cannot be re-run; refuse it rather than
+        # report its drift as a replay failure.
+        if config.get("backend", "operator") != "operator":
+            raise SystemExit(
+                f"{args.replay}: the log was saved with \"backend\": "
+                f"{json.dumps(config['backend'])}; only \"operator\" sessions can be "
+                "replayed"
+            )
     elif args.workload == "point":
         config = {
             "workload": "point",
@@ -893,7 +870,6 @@ def _run_stream(args) -> int:
             "epsilon": args.epsilon,
             "d": args.d,
             "mechanism": args.mechanism,
-            "backend": args.backend,
             "workers": args.workers,
             "warm_start": not args.cold_start,
             "seed": args.seed,
@@ -1051,7 +1027,6 @@ def _run_serve(args) -> int:
             args.d,
             args.epsilon,
             mechanism=args.mechanism,
-            backend=args.backend,
             window_epochs=args.window,
             decay=args.decay,
             seed=args.seed + 1,

@@ -15,7 +15,6 @@ Public surface:
   and the shard-parallel :class:`ParallelPipeline`.
 """
 
-from repro.core.backend import VALID_BACKENDS, resolve_backend
 from repro.core.dam import DiscreteDAM, DiscreteDAMNoShrink, DiskOutputDomain
 from repro.core.domain import (
     GridDistribution,
@@ -70,8 +69,6 @@ from repro.core.sam import (
 )
 
 __all__ = [
-    "VALID_BACKENDS",
-    "resolve_backend",
     "DiscreteDAM",
     "DiscreteDAMNoShrink",
     "DiskOutputDomain",

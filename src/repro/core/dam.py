@@ -21,12 +21,12 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
 from repro.core.domain import GridDistribution, GridSpec
 from repro.core.estimator import TransitionMatrixMechanism
 from repro.core.geometry import disk_offset_array, output_domain_cells
 from repro.core.operator import build_disk_operator
 from repro.core.postprocess import (
+    EM_ITERATIONS,
     adaptive_smoothing_strength,
     expectation_maximization,
     make_grid_smoother,
@@ -36,9 +36,6 @@ from repro.core.radius import grid_radius
 from repro.utils.validation import check_epsilon
 
 PostProcess = Literal["ems", "em", "ls"]
-#: Type of the ``backend=`` kwarg; the runtime gate is
-#: :func:`repro.core.backend.resolve_backend` (one validator, one error message).
-Backend = Literal["operator", "dense"]
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,8 @@ def build_disk_transition(
 
     This is the dense materialisation of the structured
     :class:`~repro.core.operator.DiskTransitionOperator`, kept for callers (ablation
-    code, tests) that genuinely want the matrix; the mechanisms themselves default to
-    the operator backend and never build it on the hot path.
+    code, tests) that genuinely want the matrix; the mechanisms themselves keep the
+    operator and never build it on the hot path.
     """
     operator = build_disk_operator(grid, b_hat, offset_masses, low_mass=low_mass)
     domain = DiskOutputDomain(d=grid.d, b_hat=b_hat, cells=operator.output_cells)
@@ -139,17 +136,15 @@ class DiscreteDAM(TransitionMatrixMechanism):
         which border cells are treated as entirely low-probability.
     postprocess:
         ``"ems"`` (EM with 2-D smoothing, the default and the paper's choice),
-        ``"em"`` (plain EM) or ``"ls"`` (least squares + simplex projection).
-    smoothing_strength:
-        EMS smoothing strength in ``[0, 1]``; ``None`` (default) picks it adaptively
-        from the report density (see
-        :func:`repro.core.postprocess.adaptive_smoothing_strength`).
-    backend:
-        ``"operator"`` (default) keeps the randomisation as a structured
-        :class:`~repro.core.operator.DiskTransitionOperator` — whole-batch
-        sampling and sparse or FFT EM matvecs (chosen by grid and disk size), no
-        dense matrix on the hot path; ``"dense"`` materialises the classical
-        ``(d^2, m)`` matrix up front (ablations, diagnostics).
+        ``"em"`` (plain EM) or ``"ls"`` (least squares + simplex projection).  The
+        EMS smoothing strength is picked from the report density
+        (:func:`repro.core.postprocess.adaptive_smoothing_strength`).
+
+    The randomisation is kept as a structured
+    :class:`~repro.core.operator.DiskTransitionOperator` — whole-batch sampling and
+    sparse or FFT EM matvecs (chosen by grid and disk size); the dense ``(d^2, m)``
+    matrix is only built on demand (``transition``, for the ``"ls"`` mode and the
+    Local Privacy calibration).
     """
 
     name = "DAM"
@@ -162,18 +157,12 @@ class DiscreteDAM(TransitionMatrixMechanism):
         b_hat: int | None = None,
         use_shrinkage: bool = True,
         postprocess: PostProcess = "ems",
-        em_iterations: int = 200,
-        smoothing_strength: float | None = None,
-        backend: Backend = "operator",
     ) -> None:
         super().__init__(grid, epsilon)
         if postprocess not in ("ems", "em", "ls"):
             raise ValueError(f"unknown postprocess mode {postprocess!r}")
         self.use_shrinkage = use_shrinkage
         self.postprocess = postprocess
-        self.em_iterations = em_iterations
-        self.smoothing_strength = smoothing_strength
-        self.backend = resolve_backend(backend)
         if not use_shrinkage:
             self.name = "DAM-NS"
         if b_hat is None:
@@ -190,10 +179,7 @@ class DiscreteDAM(TransitionMatrixMechanism):
         operator = build_disk_operator(grid, self.b_hat, masses)
         domain = DiskOutputDomain(d=grid.d, b_hat=self.b_hat, cells=operator.output_cells)
         normaliser = operator.normaliser
-        if backend == "dense":
-            self._set_transition(operator.to_dense())
-        else:
-            self._set_operator(operator)
+        self._set_operator(operator)
         self.output_domain = domain
         #: high/low report probabilities of Eq. (13)
         self.p_hat = float(e_eps / normaliser)
@@ -207,11 +193,7 @@ class DiscreteDAM(TransitionMatrixMechanism):
         if self.postprocess == "ls":
             theta = matrix_inversion_estimate(self.transition, counts)
         else:
-            strength = (
-                self.smoothing_strength
-                if self.smoothing_strength is not None
-                else adaptive_smoothing_strength(self.grid.n_cells, counts.sum())
-            )
+            strength = adaptive_smoothing_strength(self.grid.n_cells, counts.sum())
             smoother = (
                 make_grid_smoother(self.grid.d, strength=strength)
                 if self.postprocess == "ems" and self.grid.d > 1 and strength > 0
@@ -220,7 +202,7 @@ class DiscreteDAM(TransitionMatrixMechanism):
             result = expectation_maximization(
                 self._estimation_transition(),
                 counts,
-                max_iterations=self.em_iterations,
+                max_iterations=EM_ITERATIONS,
                 smoothing=smoother,
             )
             theta = result.estimate

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
-from repro.core.dam import Backend, DiskOutputDomain, PostProcess
+from repro.core.dam import DiskOutputDomain, PostProcess
 from repro.core.domain import GridDistribution, GridSpec
 from repro.core.estimator import TransitionMatrixMechanism
 from repro.core.geometry import (
@@ -30,6 +29,7 @@ from repro.core.geometry import (
 )
 from repro.core.operator import build_disk_operator
 from repro.core.postprocess import (
+    EM_ITERATIONS,
     adaptive_smoothing_strength,
     expectation_maximization,
     make_grid_smoother,
@@ -116,10 +116,10 @@ def huem_cell_masses_fan_rings(b_hat: int, epsilon: float) -> np.ndarray:
 class DiscreteHUEM(TransitionMatrixMechanism):
     """The grid-discretised Hybrid Uniform-Exponential Mechanism.
 
-    Construction mirrors :class:`~repro.core.dam.DiscreteDAM`: a transition matrix over
-    the extended output domain is built from per-offset masses, users are randomised by
-    one categorical draw from their row, and estimation runs EM (optionally with the
-    2-D smoothing step).
+    Construction mirrors :class:`~repro.core.dam.DiscreteDAM`: a structured transition
+    operator over the extended output domain is built from per-offset masses, users
+    are randomised by one categorical draw from their row, and estimation runs EM
+    (optionally with the 2-D smoothing step).
     """
 
     name = "HUEM"
@@ -131,11 +131,8 @@ class DiscreteHUEM(TransitionMatrixMechanism):
         *,
         b_hat: int | None = None,
         postprocess: PostProcess = "ems",
-        em_iterations: int = 200,
-        smoothing_strength: float | None = None,
         subsamples: int = 7,
         discretisation: str = "integral",
-        backend: Backend = "operator",
     ) -> None:
         super().__init__(grid, epsilon)
         if postprocess not in ("ems", "em", "ls"):
@@ -145,10 +142,7 @@ class DiscreteHUEM(TransitionMatrixMechanism):
                 f"discretisation must be 'integral' or 'fan-rings', got {discretisation!r}"
             )
         self.postprocess = postprocess
-        self.em_iterations = em_iterations
-        self.smoothing_strength = smoothing_strength
         self.discretisation = discretisation
-        self.backend = resolve_backend(backend)
         if b_hat is None:
             b_hat = grid_radius(epsilon, grid.d, grid.domain.side_length)
         if b_hat < 1:
@@ -160,10 +154,7 @@ class DiscreteHUEM(TransitionMatrixMechanism):
         else:
             masses = huem_cell_masses(self.b_hat, self.epsilon, subsamples=subsamples)
         operator = build_disk_operator(grid, self.b_hat, masses)
-        if backend == "dense":
-            self._set_transition(operator.to_dense())
-        else:
-            self._set_operator(operator)
+        self._set_operator(operator)
         self.output_domain = DiskOutputDomain(
             d=grid.d, b_hat=self.b_hat, cells=operator.output_cells
         )
@@ -175,11 +166,7 @@ class DiscreteHUEM(TransitionMatrixMechanism):
         if self.postprocess == "ls":
             theta = matrix_inversion_estimate(self.transition, counts)
         else:
-            strength = (
-                self.smoothing_strength
-                if self.smoothing_strength is not None
-                else adaptive_smoothing_strength(self.grid.n_cells, counts.sum())
-            )
+            strength = adaptive_smoothing_strength(self.grid.n_cells, counts.sum())
             smoother = (
                 make_grid_smoother(self.grid.d, strength=strength)
                 if self.postprocess == "ems" and self.grid.d > 1 and strength > 0
@@ -188,7 +175,7 @@ class DiscreteHUEM(TransitionMatrixMechanism):
             result = expectation_maximization(
                 self._estimation_transition(),
                 counts,
-                max_iterations=self.em_iterations,
+                max_iterations=EM_ITERATIONS,
                 smoothing=smoother,
             )
             theta = result.estimate

@@ -26,11 +26,13 @@ collapses at fine grid resolutions.
   column ratio of the dense audit, including the ``inf`` verdict for columns that mix
   zero and positive probabilities (a hard ε-LDP violation);
 * ``to_dense()`` materialises the classical matrix when a caller genuinely needs it
-  (least-squares post-processing, diagnostics) — it is never required on the hot path.
+  (least-squares post-processing, the Local Privacy calibration, and the tests,
+  where it is the oracle) — it is never required on the hot path.
 
 :func:`expectation_maximization <repro.core.postprocess.expectation_maximization>`
 accepts either a dense matrix or any object implementing the small
-``shape``/``forward``/``backward`` protocol, so mechanisms switch backends freely.
+``shape``/``forward``/``backward`` protocol, so the disk operator and the dense
+matrices of the other mechanisms (Geo-I, SEM-Geo-I, Square Wave) share one EM loop.
 Property tests assert both matvec sides are numerically indistinguishable from the
 dense matrix they represent.
 """
@@ -58,7 +60,8 @@ class DenseTransitionOperator:
     """Adapter giving a dense row-stochastic matrix the operator protocol.
 
     Used internally by :func:`repro.core.postprocess.expectation_maximization` so the
-    EM loop is written once against ``forward``/``backward`` regardless of backend.
+    EM loop is written once against ``forward``/``backward``, for dense matrices and
+    structured operators alike.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:

@@ -11,28 +11,19 @@ module scales the privatization stage across a process pool while keeping the re
 * the coordinator merges the shard aggregates in shard order and runs a single EM
   solve on the combined histogram, exactly as the serial pipeline would.
 
-Two per-shard RNG derivations are supported:
-
-``"stream"`` (default)
-    Every worker rebuilds the *same* base generator state and advances it by the
-    number of users in all preceding shards.  Since every batch sampler in the
-    library consumes exactly one ``rng.random()`` double per user in input order
-    (see :meth:`repro.core.operator.DiskTransitionOperator.sample`), the shards
-    jointly consume the very stream a serial pass would have — so the reports, the
-    histograms and therefore the estimate are bit-identical to
-    :meth:`DAMPipeline.run` / :meth:`DAMPipeline.run_stream` with the same seed,
-    for any shard size and any worker count.  Requires a bit generator with
-    ``advance`` (PCG64/Philox — i.e. everything ``default_rng`` produces).
-
-``"spawn"``
-    Each shard gets an independent child of the master :class:`numpy.random.SeedSequence`
-    (via :func:`repro.utils.rng.spawn_seed_sequences`).  The result is deterministic
-    in the seed and the shard plan and invariant to the worker count, but not equal
-    to the serial shared-stream result.  Works with any bit generator.
+Every worker rebuilds the *same* base generator state and advances it by the number
+of users in all preceding shards.  Since every batch sampler in the library consumes
+exactly one ``rng.random()`` double per user in input order (see
+:meth:`repro.core.operator.DiskTransitionOperator.sample`), the shards jointly
+consume the very stream a serial pass would have — so the reports, the histograms
+and therefore the estimate are bit-identical to :meth:`DAMPipeline.run` /
+:meth:`DAMPipeline.run_stream` with the same seed, for any shard size and any worker
+count.  This requires a bit generator with ``advance`` (PCG64/Philox — i.e.
+everything ``default_rng`` produces).
 
 Workers are plain processes (``concurrent.futures.ProcessPoolExecutor``); each builds
 its mechanism once from a small picklable spec in the pool initializer, so shipping
-work to a shard costs one point array and one RNG payload, and shipping the result
+work to a shard costs one point array and one generator state, and shipping the result
 back costs two histograms.
 """
 
@@ -41,11 +32,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.dam import Backend, PostProcess
 from repro.core.domain import GridDistribution, SpatialDomain
 from repro.core.estimator import ShardAggregate
 from repro.core.pipeline import DAMPipeline, MechanismName, PipelineResult
@@ -53,11 +43,8 @@ from repro.utils.rng import (
     ensure_rng,
     generator_from_state,
     generator_state,
-    spawn_seed_sequences,
     supports_stream_splitting,
 )
-
-RngMode = Literal["stream", "spawn"]
 
 #: Default number of users per shard.  Large enough that per-shard Python overhead
 #: (pickling, one bincount) is negligible, small enough that a handful of shards
@@ -75,44 +62,31 @@ class _PipelineSpec:
     epsilon: float
     mechanism: MechanismName
     b_hat: int | None
-    postprocess: PostProcess
-    backend: Backend
 
     def build(self) -> "_PipelineShardRunner":
         domain = SpatialDomain(*self.bounds, name=self.domain_name)
         return _PipelineShardRunner(
-            DAMPipeline(
-                domain,
-                self.d,
-                self.epsilon,
-                mechanism=self.mechanism,
-                b_hat=self.b_hat,
-                postprocess=self.postprocess,
-                backend=self.backend,
-            )
+            DAMPipeline(domain, self.d, self.epsilon, mechanism=self.mechanism, b_hat=self.b_hat)
         )
 
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """One unit of work: a filtered point shard plus its RNG derivation payload."""
+    """One unit of work: a filtered point shard plus where its draws start.
+
+    The shard's generator is the shared base state advanced by ``offset``, the
+    number of users in all preceding shards.
+    """
 
     points: np.ndarray
-    #: ``("stream", base_state, offset)`` or ``("spawn", seed_sequence)``.
-    rng_payload: tuple
-
-
-def _shard_rng(payload: tuple) -> np.random.Generator:
-    if payload[0] == "stream":
-        _, base_state, offset = payload
-        return generator_from_state(base_state, advance_by=offset)
-    _, child = payload
-    return np.random.default_rng(child)
+    base_state: dict
+    offset: int
 
 
 def _privatize_shard(pipeline: DAMPipeline, task: _ShardTask) -> ShardAggregate:
     """Privatize one shard and return its additive partial state."""
-    aggregator = pipeline.mechanism.streaming_aggregator(seed=_shard_rng(task.rng_payload))
+    rng = generator_from_state(task.base_state, advance_by=task.offset)
+    aggregator = pipeline.mechanism.streaming_aggregator(seed=rng)
     aggregator.add_points(task.points)
     return aggregator.state()
 
@@ -177,7 +151,7 @@ class ParallelPipeline:
 
     Parameters
     ----------
-    domain, d, epsilon, mechanism, b_hat, postprocess, backend:
+    domain, d, epsilon, mechanism, b_hat:
         Exactly as for :class:`~repro.core.pipeline.DAMPipeline`.
     workers:
         Size of the process pool.  ``None`` uses ``os.cpu_count()``; ``1`` executes
@@ -186,9 +160,6 @@ class ParallelPipeline:
     shard_size:
         Number of users per shard for :meth:`run`.  :meth:`run_stream` shards at
         the caller's chunk boundaries instead.
-    rng_mode:
-        ``"stream"`` (bit-identical to the serial pipeline, default) or ``"spawn"``
-        (independent per-shard streams) — see the module docstring.
     """
 
     def __init__(
@@ -199,11 +170,8 @@ class ParallelPipeline:
         *,
         mechanism: MechanismName = "dam",
         b_hat: int | None = None,
-        postprocess: PostProcess = "ems",
-        backend: Backend = "operator",
         workers: int | None = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        rng_mode: RngMode = "stream",
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -211,20 +179,9 @@ class ParallelPipeline:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        if rng_mode not in ("stream", "spawn"):
-            raise ValueError(f"rng_mode must be 'stream' or 'spawn', got {rng_mode!r}")
         self.workers = int(workers)
         self.shard_size = int(shard_size)
-        self.rng_mode: RngMode = rng_mode
-        self.pipeline = DAMPipeline(
-            domain,
-            d,
-            epsilon,
-            mechanism=mechanism,
-            b_hat=b_hat,
-            postprocess=postprocess,
-            backend=backend,
-        )
+        self.pipeline = DAMPipeline(domain, d, epsilon, mechanism=mechanism, b_hat=b_hat)
         self._spec = _PipelineSpec(
             bounds=domain.bounds,
             domain_name=domain.name,
@@ -232,8 +189,6 @@ class ParallelPipeline:
             epsilon=epsilon,
             mechanism=mechanism,
             b_hat=self.pipeline.b_hat,
-            postprocess=postprocess,
-            backend=backend,
         )
 
     # ------------------------------------------------------------ public API
@@ -252,9 +207,8 @@ class ParallelPipeline:
     def run(self, points: np.ndarray, seed=None) -> PipelineResult:
         """Parallel Algorithm 1 over one point set.
 
-        In ``"stream"`` mode the result is bit-identical to
-        ``DAMPipeline.run(points, seed=seed)`` regardless of ``workers`` and
-        ``shard_size``.
+        The result is bit-identical to ``DAMPipeline.run(points, seed=seed)``
+        regardless of ``workers`` and ``shard_size``.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -269,8 +223,8 @@ class ParallelPipeline:
     def run_stream(self, chunks: Iterable[np.ndarray], seed=None) -> PipelineResult:
         """Parallel Algorithm 1 over an iterable of point-array shards.
 
-        Each chunk becomes one shard.  In ``"stream"`` mode the result is
-        bit-identical to ``DAMPipeline.run_stream(chunks, seed=seed)``; note that
+        Each chunk becomes one shard.  The result is bit-identical to
+        ``DAMPipeline.run_stream(chunks, seed=seed)``; note that
         unlike the serial version the chunks are materialised into a shard list
         before dispatch, so peak memory is the total filtered point count.
         """
@@ -286,15 +240,12 @@ class ParallelPipeline:
         return self._execute(shards, dropped, seed)
 
     # -------------------------------------------------------------- plumbing
-    def _rng_payloads(self, shards: Sequence[np.ndarray], seed) -> list[tuple]:
-        if self.rng_mode == "spawn":
-            children = spawn_seed_sequences(seed, len(shards))
-            return [("spawn", child) for child in children]
+    def _shard_tasks(self, shards: Sequence[np.ndarray], seed) -> list[_ShardTask]:
         rng = ensure_rng(seed)
         if not supports_stream_splitting(rng):
             raise ValueError(
                 f"bit generator {type(rng.bit_generator).__name__} does not support "
-                "advance(); pass rng_mode='spawn' or a PCG64-backed seed"
+                "advance(); pass a PCG64-backed seed"
             )
         base_state = generator_state(rng)
         sizes = [int(shard.shape[0]) for shard in shards]
@@ -302,7 +253,10 @@ class ParallelPipeline:
         # Leave the caller's generator exactly where a serial pass (one double per
         # user) would have left it, so downstream draws match the serial schedule.
         rng.bit_generator.advance(int(offsets[-1]))
-        return [("stream", base_state, int(offset)) for offset in offsets[:-1]]
+        return [
+            _ShardTask(points=shard, base_state=base_state, offset=int(offset))
+            for shard, offset in zip(shards, offsets[:-1])
+        ]
 
     def aggregate(self, points: np.ndarray, seed=None):
         """Privatize one point set on the pool and return only the merged counts.
@@ -325,10 +279,7 @@ class ParallelPipeline:
 
     def _merge_shards(self, shards: list[np.ndarray], seed):
         """Fan the shards out, merge the partial states into one fresh aggregator."""
-        tasks = [
-            _ShardTask(points=shard, rng_payload=payload)
-            for shard, payload in zip(shards, self._rng_payloads(shards, seed))
-        ]
+        tasks = self._shard_tasks(shards, seed)
         aggregates = run_sharded(
             self._spec,
             tasks,
@@ -363,6 +314,5 @@ class ParallelPipeline:
                 "parallel": True,
                 "workers": n_workers if shards else 0,
                 "n_shards": len(shards),
-                "rng_mode": self.rng_mode,
             },
         )

@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.dam import Backend, DiscreteDAM, PostProcess
+from repro.core.dam import DiscreteDAM
 from repro.core.domain import GridDistribution, GridSpec, SpatialDomain
 from repro.core.huem import DiscreteHUEM
 from repro.core.radius import grid_radius
@@ -67,12 +67,8 @@ class DAMPipeline:
     b_hat:
         Optional override of the integer high-probability radius; defaults to the
         mutual-information-optimal choice of Section V-C.
-    postprocess:
-        Post-processing mode passed through to the mechanism (``"ems"``, ``"em"`` or
-        ``"ls"``).
-    backend:
-        ``"operator"`` (default) for the structured transition-operator engine,
-        ``"dense"`` to materialise the classical transition matrix.
+
+    The mechanism post-processes with EMS, the paper's choice.
     """
 
     def __init__(
@@ -83,8 +79,6 @@ class DAMPipeline:
         *,
         mechanism: MechanismName = "dam",
         b_hat: int | None = None,
-        postprocess: PostProcess = "ems",
-        backend: Backend = "operator",
     ) -> None:
         self.domain = domain
         self.d = check_grid_side(d)
@@ -94,30 +88,13 @@ class DAMPipeline:
             b_hat = grid_radius(self.epsilon, self.d, domain.side_length)
         self.b_hat = int(b_hat)
         if mechanism == "dam":
-            self.mechanism = DiscreteDAM(
-                self.grid,
-                self.epsilon,
-                b_hat=self.b_hat,
-                postprocess=postprocess,
-                backend=backend,
-            )
+            self.mechanism = DiscreteDAM(self.grid, self.epsilon, b_hat=self.b_hat)
         elif mechanism == "dam-ns":
             self.mechanism = DiscreteDAM(
-                self.grid,
-                self.epsilon,
-                b_hat=self.b_hat,
-                use_shrinkage=False,
-                postprocess=postprocess,
-                backend=backend,
+                self.grid, self.epsilon, b_hat=self.b_hat, use_shrinkage=False
             )
         elif mechanism == "huem":
-            self.mechanism = DiscreteHUEM(
-                self.grid,
-                self.epsilon,
-                b_hat=self.b_hat,
-                postprocess=postprocess,
-                backend=backend,
-            )
+            self.mechanism = DiscreteHUEM(self.grid, self.epsilon, b_hat=self.b_hat)
         else:
             raise ValueError(
                 f"unknown mechanism {mechanism!r}; expected 'dam', 'dam-ns' or 'huem'"
@@ -191,7 +168,6 @@ def estimate_spatial_distribution(
     d: int = 15,
     domain: SpatialDomain | None = None,
     mechanism: MechanismName = "dam",
-    backend: Backend = "operator",
     seed=None,
 ) -> PipelineResult:
     """One-call private spatial distribution estimation.
@@ -208,5 +184,5 @@ def estimate_spatial_distribution(
         # Relative pad: an absolute epsilon underflows for projected coordinates
         # (~1e6 m), leaving boundary points on the box edge.
         domain = SpatialDomain.from_points(pts, relative_pad=1e-9)
-    pipeline = DAMPipeline(domain, d, epsilon, mechanism=mechanism, backend=backend)
+    pipeline = DAMPipeline(domain, d, epsilon, mechanism=mechanism)
     return pipeline.run(pts, seed=seed)

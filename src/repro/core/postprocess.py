@@ -17,6 +17,9 @@ import numpy as np
 
 from repro.utils.validation import check_positive, check_probability_matrix
 
+#: Iteration cap of every mechanism's EM solve and of the streaming re-solve.
+EM_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class EMResult:

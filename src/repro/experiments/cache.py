@@ -6,7 +6,7 @@ deterministic given its parameters.  :class:`ResultCache` keys every cell by the
 SHA-256 digest of a canonical JSON rendering of *all* result-affecting parameters, so
 
 * re-running a sweep after an interruption only computes the missing cells;
-* changing any parameter (scale, repeats, seed, backend, ...) changes the key and
+* changing any parameter (scale, repeats, seed, metric, ...) changes the key and
   misses cleanly — there is no staleness to invalidate by hand;
 * the cache can be shared between serial and parallel runs, between the CLI and the
   benchmark suite, and across processes (writes are atomic renames).

@@ -13,7 +13,7 @@ Two presets are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 #: Table IV — the norm-distance multipliers applied to the optimal grid radius.
 B_SCALE_VALUES: tuple[float, ...] = (0.33, 0.67, 1.0, 1.33, 1.67)
@@ -67,11 +67,6 @@ class ExperimentConfig:
     max_users_per_part:
         Hard cap on the number of reports per dataset part (keeps EM costs bounded on
         laptop runs); ``None`` disables the cap.
-    backend:
-        Transition backend for the disk mechanisms: ``"operator"`` (default) uses the
-        structured :class:`~repro.core.operator.DiskTransitionOperator` engine (its
-        sparse or FFT EM matvecs are chosen by grid and disk size, the same on every
-        host), ``"dense"`` the materialised matrix (ablations / cross-checks).
     workers:
         Process-pool size used by :func:`~repro.experiments.runner.sweep_parameter`
         to fan sweep cells out; ``1`` (default) runs serially.  Execution-only: the
@@ -90,7 +85,6 @@ class ExperimentConfig:
     exact_cell_limit: int = 144
     calibrate_sem: bool = True
     max_users_per_part: int | None = None
-    backend: str = "operator"
     workers: int = 1
     cache_dir: str | None = None
     datasets: tuple[str, ...] = ("Crime", "NYC", "Normal", "SZipf", "MNormal")

@@ -113,7 +113,7 @@ def _calibrated_sem_epsilon_cached(
     if d == 1:
         # A single cell carries no location signal; calibration is meaningless.
         return epsilon
-    dam = DiscreteDAM(grid, epsilon, b_hat=b_hat) if b_hat else DiscreteDAM(grid, epsilon)
+    dam = DiscreteDAM(grid, epsilon, b_hat=b_hat or None)
     target = local_privacy_of_mechanism(dam)
     result = calibrate_epsilon(lambda e: SEMGeoI(grid, e), target)
     return float(result.epsilon)
@@ -126,26 +126,18 @@ def build_mechanism(
     *,
     b_hat: int | None = None,
     calibrate_sem: bool = True,
-    backend: str = "operator",
 ):
     """Instantiate a mechanism by its paper name on the given grid and budget.
 
-    ``backend`` selects the transition backend of the disk mechanisms (DAM, DAM-NS,
-    HUEM): the structured operator engine (default) or the dense matrix.
+    ``b_hat`` of ``None`` or ``0`` leaves the disk mechanisms at their default radius.
     """
     key = name.strip().lower()
     if key == "dam":
-        if b_hat:
-            return DiscreteDAM(grid, epsilon, b_hat=b_hat, backend=backend)
-        return DiscreteDAM(grid, epsilon, backend=backend)
+        return DiscreteDAM(grid, epsilon, b_hat=b_hat or None)
     if key in ("dam-ns", "damns"):
-        if b_hat:
-            return DiscreteDAM(grid, epsilon, b_hat=b_hat, use_shrinkage=False, backend=backend)
-        return DiscreteDAM(grid, epsilon, use_shrinkage=False, backend=backend)
+        return DiscreteDAM(grid, epsilon, b_hat=b_hat or None, use_shrinkage=False)
     if key == "huem":
-        if b_hat:
-            return DiscreteHUEM(grid, epsilon, b_hat=b_hat, backend=backend)
-        return DiscreteHUEM(grid, epsilon, backend=backend)
+        return DiscreteHUEM(grid, epsilon, b_hat=b_hat or None)
     if key == "mdsw":
         return MDSW(grid, epsilon)
     if key in ("sem-geo-i", "sem_geo_i", "semgeoi"):
@@ -175,7 +167,6 @@ def evaluate_on_part(
     calibrate_sem: bool = True,
     max_users: int | None = None,
     normalise_domain: bool = True,
-    backend: str = "operator",
 ) -> float:
     """Run one mechanism on one dataset part and return the ``W2`` error.
 
@@ -201,7 +192,6 @@ def evaluate_on_part(
         epsilon,
         b_hat=b_hat,
         calibrate_sem=calibrate_sem,
-        backend=backend,
     )
     report = mechanism.run(pts, seed=rng)
     return wasserstein2_auto(true_distribution, report.estimate, exact_cell_limit=exact_cell_limit)
@@ -290,7 +280,6 @@ def evaluate_stream_on_part(
     calibrate_sem: bool = True,
     max_users: int | None = None,
     normalise_domain: bool = True,
-    backend: str = "operator",
     n_epochs: int = STREAM_WORKLOAD_EPOCHS,
     users_per_epoch: int = STREAM_WORKLOAD_USERS_PER_EPOCH,
     window_epochs: int = STREAM_WORKLOAD_WINDOW_EPOCHS,
@@ -328,7 +317,6 @@ def evaluate_stream_on_part(
         epsilon,
         b_hat=b_hat,
         calibrate_sem=calibrate_sem,
-        backend=backend,
     )
     service = StreamingEstimationService(mechanism, window_epochs=window_epochs, seed=rng)
     step = np.array([domain.width, domain.height])
@@ -355,7 +343,6 @@ def evaluate_range_queries_on_part(
     calibrate_sem: bool = True,
     max_users: int | None = None,
     normalise_domain: bool = True,
-    backend: str = "operator",
     n_queries: int = RANGE_QUERY_WORKLOAD_SIZE,
 ) -> float:
     """Range-query MAE of one mechanism on one dataset part.
@@ -381,7 +368,6 @@ def evaluate_range_queries_on_part(
         epsilon,
         b_hat=b_hat,
         calibrate_sem=calibrate_sem,
-        backend=backend,
     )
     report = mechanism.run(pts, seed=rng)
     low, high = RANGE_QUERY_FRACTIONS
@@ -423,7 +409,6 @@ def _evaluate_repeat(
                 exact_cell_limit=config.exact_cell_limit,
                 calibrate_sem=config.calibrate_sem,
                 max_users=config.max_users_per_part,
-                backend=config.backend,
             )
             for _, points, domain in dataset.parts
         ]
@@ -439,7 +424,6 @@ def _evaluate_repeat(
                 seed=rng,
                 calibrate_sem=config.calibrate_sem,
                 max_users=config.max_users_per_part,
-                backend=config.backend,
             )
             for _, points, domain in dataset.parts
         ]
@@ -468,7 +452,6 @@ def _evaluate_repeat(
                 seed=rng,
                 calibrate_sem=config.calibrate_sem,
                 max_users=config.max_users_per_part,
-                backend=config.backend,
             )
             for _, points, domain in dataset.parts
         ]
@@ -632,7 +615,6 @@ def _cell_cache_key(cell: SweepCell, config: ExperimentConfig) -> str:
             "exact_cell_limit": config.exact_cell_limit,
             "calibrate_sem": config.calibrate_sem,
             "max_users_per_part": config.max_users_per_part,
-            "backend": config.backend,
             "metric": cell.metric,
             "range_query_workload": (
                 (RANGE_QUERY_WORKLOAD_SIZE, RANGE_QUERY_FRACTIONS)

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.domain import GridDistribution, GridSpec
 from repro.core.estimator import TransitionMatrixMechanism
 from repro.core.postprocess import (
+    EM_ITERATIONS,
     adaptive_smoothing_strength,
     expectation_maximization,
     make_grid_smoother,
@@ -76,19 +77,11 @@ class DiscreteGeoIMechanism(TransitionMatrixMechanism):
         epsilon: float,
         *,
         distance_unit: str = "cells",
-        postprocess: str = "ems",
-        em_iterations: int = 200,
-        smoothing_strength: float | None = None,
     ) -> None:
         super().__init__(grid, epsilon)
         if distance_unit not in ("cells", "domain"):
             raise ValueError(f"distance_unit must be 'cells' or 'domain', got {distance_unit!r}")
-        if postprocess not in ("ems", "em"):
-            raise ValueError(f"unknown postprocess mode {postprocess!r}")
         self.distance_unit = distance_unit
-        self.postprocess = postprocess
-        self.em_iterations = em_iterations
-        self.smoothing_strength = smoothing_strength
         distances = pairwise_cell_distances(grid.d, grid.domain.bounds)
         if distance_unit == "cells":
             distances = distances / grid.cell_side
@@ -98,18 +91,14 @@ class DiscreteGeoIMechanism(TransitionMatrixMechanism):
 
     def estimate(self, noisy_counts: np.ndarray, n_users: int) -> GridDistribution:
         counts = np.asarray(noisy_counts, dtype=float)
-        strength = (
-            self.smoothing_strength
-            if self.smoothing_strength is not None
-            else adaptive_smoothing_strength(self.grid.n_cells, counts.sum())
-        )
+        strength = adaptive_smoothing_strength(self.grid.n_cells, counts.sum())
         smoother = (
             make_grid_smoother(self.grid.d, strength=strength)
-            if self.postprocess == "ems" and self.grid.d > 1 and strength > 0
+            if self.grid.d > 1 and strength > 0
             else None
         )
         result = expectation_maximization(
-            self.transition, counts, max_iterations=self.em_iterations, smoothing=smoother
+            self.transition, counts, max_iterations=EM_ITERATIONS, smoothing=smoother
         )
         return GridDistribution.from_flat(self.grid, result.estimate)
 

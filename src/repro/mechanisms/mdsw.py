@@ -25,11 +25,13 @@ class MDSW(SpatialMechanism):
     Parameters
     ----------
     grid, epsilon:
-        Input grid and total per-user budget.  The budget is split evenly across the
-        two dimensions (``eps / 2`` each), the standard composition used when every
-        user reports both coordinates.
-    postprocess:
-        ``"ems"`` (EM + smoothing, the SW-EMS default) or ``"em"``.
+        Input grid and total per-user budget.  The budget is split across the two
+        dimensions (``eps / 2`` each by default), the standard composition used when
+        every user reports both coordinates.
+    budget_split:
+        Share of the budget spent on the x coordinate; y gets the rest.
+
+    Each axis is estimated with SW-EMS (EM plus smoothing).
     """
 
     name = "MDSW"
@@ -39,17 +41,14 @@ class MDSW(SpatialMechanism):
         grid: GridSpec,
         epsilon: float,
         *,
-        postprocess: str = "ems",
         budget_split: float = 0.5,
     ) -> None:
         super().__init__(grid, epsilon)
         if not 0.0 < budget_split < 1.0:
             raise ValueError(f"budget_split must be in (0, 1), got {budget_split}")
         self.budget_split = budget_split
-        self.oracle_x = DiscreteSquareWave(grid.d, epsilon * budget_split, postprocess=postprocess)
-        self.oracle_y = DiscreteSquareWave(
-            grid.d, epsilon * (1.0 - budget_split), postprocess=postprocess
-        )
+        self.oracle_x = DiscreteSquareWave(grid.d, epsilon * budget_split)
+        self.oracle_y = DiscreteSquareWave(grid.d, epsilon * (1.0 - budget_split))
 
     def output_domain_size(self) -> int:
         return self.oracle_x.d_out * self.oracle_y.d_out
@@ -67,22 +66,6 @@ class MDSW(SpatialMechanism):
             self.oracle_y.d_out, self.oracle_x.d_out
         )
         # Recover the per-axis report histograms, estimate each marginal, recombine.
-        reports_x = counts.sum(axis=0)
-        reports_y = counts.sum(axis=1)
-        x_marginal = self._estimate_axis(self.oracle_x, reports_x, n_users)
-        y_marginal = self._estimate_axis(self.oracle_y, reports_y, n_users)
+        x_marginal = self.oracle_x.estimate_counts(counts.sum(axis=0))
+        y_marginal = self.oracle_y.estimate_counts(counts.sum(axis=1))
         return outer_product_distribution(self.grid, x_marginal, y_marginal)
-
-    @staticmethod
-    def _estimate_axis(
-        oracle: DiscreteSquareWave, report_counts: np.ndarray, n_users: int
-    ) -> np.ndarray:
-        from repro.core.postprocess import expectation_maximization
-
-        result = expectation_maximization(
-            oracle.transition,
-            report_counts,
-            max_iterations=oracle.em_iterations,
-            smoothing=oracle._smoother(float(np.asarray(report_counts).sum())),
-        )
-        return result.estimate

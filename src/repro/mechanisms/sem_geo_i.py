@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.domain import GridDistribution, GridSpec
 from repro.core.estimator import SpatialMechanism
 from repro.core.postprocess import (
+    EM_ITERATIONS,
     adaptive_smoothing_strength,
     expectation_maximization,
     make_grid_smoother,
@@ -46,8 +47,8 @@ class SEMGeoI(SpatialMechanism):
         cell units).
     subset_size:
         Size ``k`` of the reported subset; defaults to ``max(1, round(n / e^eps'))``.
-    postprocess:
-        ``"ems"`` or ``"em"`` — post-processing of the inclusion histogram.
+
+    The inclusion histogram is post-processed with EMS.
     """
 
     name = "SEM-Geo-I"
@@ -58,16 +59,8 @@ class SEMGeoI(SpatialMechanism):
         epsilon: float,
         *,
         subset_size: int | None = None,
-        postprocess: str = "ems",
-        em_iterations: int = 200,
-        smoothing_strength: float | None = None,
     ) -> None:
         super().__init__(grid, epsilon)
-        if postprocess not in ("ems", "em"):
-            raise ValueError(f"unknown postprocess mode {postprocess!r}")
-        self.postprocess = postprocess
-        self.em_iterations = em_iterations
-        self.smoothing_strength = smoothing_strength
         n_cells = grid.n_cells
         if subset_size is None:
             subset_size = max(1, int(round(n_cells / math.exp(check_epsilon(epsilon)))))
@@ -160,14 +153,10 @@ class SEMGeoI(SpatialMechanism):
     def estimate(self, noisy_counts: np.ndarray, n_users: int) -> GridDistribution:
         """Recover the input distribution from per-cell inclusion (or anchor) counts."""
         counts = np.asarray(noisy_counts, dtype=float)
-        strength = (
-            self.smoothing_strength
-            if self.smoothing_strength is not None
-            else adaptive_smoothing_strength(self.grid.n_cells, counts.sum())
-        )
+        strength = adaptive_smoothing_strength(self.grid.n_cells, counts.sum())
         smoother = (
             make_grid_smoother(self.grid.d, strength=strength)
-            if self.postprocess == "ems" and self.grid.d > 1 and strength > 0
+            if self.grid.d > 1 and strength > 0
             else None
         )
         # The inclusion matrix is not row-stochastic (rows sum to k); normalising the
@@ -176,7 +165,7 @@ class SEMGeoI(SpatialMechanism):
             axis=1, keepdims=True
         )
         result = expectation_maximization(
-            matrix, counts, max_iterations=self.em_iterations, smoothing=smoother
+            matrix, counts, max_iterations=EM_ITERATIONS, smoothing=smoother
         )
         return GridDistribution.from_flat(self.grid, result.estimate)
 

@@ -8,8 +8,8 @@ low density ``q``, with
 ``b = (eps * e^eps - e^eps + 1) / (2 e^eps (e^eps - 1 - eps))``,
 ``p = e^eps / (2 b e^eps + 1)`` and ``q = 1 / (2 b e^eps + 1)``.
 
-The analyst buckets the reports and runs expectation maximisation (optionally with the
-smoothing step — "EMS") against the known bucket-to-bucket transition probabilities.
+The analyst buckets the reports and runs expectation maximisation with the smoothing
+step ("EMS") against the known bucket-to-bucket transition probabilities.
 This module provides both the continuous sampler and the discretised oracle used by
 :class:`~repro.mechanisms.mdsw.MDSW`.
 """
@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from repro.core.postprocess import (
+    EM_ITERATIONS,
     adaptive_smoothing_strength,
     expectation_maximization,
     make_line_smoother,
@@ -81,26 +82,13 @@ class DiscreteSquareWave:
     The input domain ``[0, 1]`` is split into ``d`` equal buckets and the output domain
     ``[-b, 1 + b]`` into ``d_out`` buckets of the same width.  The bucket-to-bucket
     transition probabilities are the integrals of the SW density, computed exactly from
-    the piecewise-constant structure.  Estimation runs EM, optionally with the 1-D
-    smoothing step of SW-EMS.
+    the piecewise-constant structure.  Estimation runs EM with the 1-D smoothing step
+    of SW-EMS.
     """
 
-    def __init__(
-        self,
-        d: int,
-        epsilon: float,
-        *,
-        postprocess: str = "ems",
-        em_iterations: int = 200,
-        smoothing_strength: float | None = None,
-    ) -> None:
+    def __init__(self, d: int, epsilon: float) -> None:
         self.d = check_grid_side(d)
         self.epsilon = check_epsilon(epsilon)
-        if postprocess not in ("ems", "em"):
-            raise ValueError(f"unknown postprocess mode {postprocess!r}")
-        self.postprocess = postprocess
-        self.em_iterations = em_iterations
-        self.smoothing_strength = smoothing_strength
         self.b, self.p, self.q = square_wave_probabilities(epsilon)
         cell = 1.0 / self.d
         self.pad_cells = int(math.ceil(self.b / cell))
@@ -141,27 +129,19 @@ class DiscreteSquareWave:
     def estimate(self, reports: np.ndarray, n_users: int) -> np.ndarray:
         """Estimate the input bucket distribution from noisy output bucket reports."""
         reports = np.asarray(reports, dtype=np.int64)
-        counts = np.bincount(reports, minlength=self.d_out).astype(float)
+        return self.estimate_counts(np.bincount(reports, minlength=self.d_out))
+
+    def estimate_counts(self, counts: np.ndarray) -> np.ndarray:
+        """SW-EMS estimate of the input bucket distribution from output bucket counts."""
+        counts = np.asarray(counts, dtype=float)
+        strength = adaptive_smoothing_strength(self.d, counts.sum())
+        smoother = (
+            make_line_smoother(self.d, strength=strength) if self.d > 1 and strength > 0 else None
+        )
         result = expectation_maximization(
-            self._transition,
-            counts,
-            max_iterations=self.em_iterations,
-            smoothing=self._smoother(counts.sum()),
+            self._transition, counts, max_iterations=EM_ITERATIONS, smoothing=smoother
         )
         return result.estimate
-
-    def _smoother(self, n_reports: float):
-        """EMS smoothing callable for the given report volume (or ``None``)."""
-        if self.postprocess != "ems" or self.d <= 1:
-            return None
-        strength = (
-            self.smoothing_strength
-            if self.smoothing_strength is not None
-            else adaptive_smoothing_strength(self.d, n_reports)
-        )
-        if strength <= 0:
-            return None
-        return make_line_smoother(self.d, strength=strength)
 
     def ldp_ratio(self) -> float:
         """Worst-case per-column probability ratio (should not exceed ``e^eps``)."""

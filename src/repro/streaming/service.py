@@ -33,16 +33,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dam import Backend, PostProcess
 from repro.core.domain import GridDistribution, GridSpec, SpatialDomain
 from repro.core.estimator import TransitionMatrixMechanism
 from repro.core.parallel import DEFAULT_SHARD_SIZE, ParallelPipeline
 from repro.core.pipeline import MechanismName
-from repro.core.postprocess import EMResult, expectation_maximization, make_grid_smoother
+from repro.core.postprocess import (
+    EM_ITERATIONS,
+    EMResult,
+    expectation_maximization,
+    make_grid_smoother,
+)
 from repro.queries.engine import StreamingQueryEngine
 from repro.serving.shm import SnapshotWriter
 from repro.streaming.window import WindowedAggregator
 from repro.utils.rng import ensure_rng
+
+#: Mass floor (relative to uniform) applied to the previous posterior before it
+#: seeds the next solve: every cell starts at least ``WARM_FLOOR / n_cells``.  EM's
+#: updates are multiplicative, so a cell the old window estimated at ~0 could
+#: otherwise take hundreds of iterations to regrow when the population drifts onto
+#: it — the floor un-sticks those zeros while leaving the informative bulk of the
+#: posterior untouched (measured: raw warm starts *lose* to cold starts; floored
+#: ones beat them severalfold).
+WARM_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -85,8 +98,8 @@ class StreamingEstimationService:
         A :class:`~repro.core.estimator.TransitionMatrixMechanism` (DAM, DAM-NS,
         HUEM, ...).  The warm-started re-solve drives
         :func:`~repro.core.postprocess.expectation_maximization` with the
-        mechanism's transition (operator or dense backend alike), so mechanisms
-        without a transition model are rejected.
+        mechanism's transition, so mechanisms without a transition model are
+        rejected.
     window_epochs, decay:
         Window geometry — see :class:`~repro.streaming.window.WindowedAggregator`.
     max_iterations, tolerance:
@@ -97,16 +110,8 @@ class StreamingEstimationService:
         warm and cold starts share one objective).
     warm_start:
         ``False`` forces every epoch to a cold (uniform-start) solve — the
-        ablation the throughput benchmark measures against.
-    warm_floor:
-        Mass floor (relative to uniform) applied to the previous posterior before
-        it seeds the next solve: every cell starts at least
-        ``warm_floor / n_cells``.  EM's updates are multiplicative, so a cell the
-        old window estimated at ~0 could otherwise take hundreds of iterations to
-        regrow when the population drifts onto it — the floor un-sticks those
-        zeros while leaving the informative bulk of the posterior untouched
-        (measured: raw warm starts *lose* to cold starts; floored ones beat them
-        severalfold).
+        ablation the throughput benchmark measures against.  A warm start is the
+        previous posterior floored at :data:`WARM_FLOOR`.
     seed:
         Seeds the service's report-privatization stream; epochs consume one shared
         stream, so a fixed seed makes the whole session reproducible.
@@ -129,11 +134,10 @@ class StreamingEstimationService:
         *,
         window_epochs: int = 8,
         decay: float | None = None,
-        max_iterations: int = 200,
+        max_iterations: int = EM_ITERATIONS,
         tolerance: float = 1e-6,
         smoothing_strength: float = 0.0,
         warm_start: bool = True,
-        warm_floor: float = 0.1,
         seed=None,
         pipeline: ParallelPipeline | None = None,
         snapshot_writer: SnapshotWriter | None = None,
@@ -146,8 +150,6 @@ class StreamingEstimationService:
             )
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if not 0.0 <= warm_floor < 1.0:
-            raise ValueError(f"warm_floor must lie in [0, 1), got {warm_floor}")
         if pipeline is not None and pipeline.pipeline.mechanism is not mechanism:
             raise ValueError("pipeline must wrap the same mechanism instance")
         if snapshot_writer is not None and (
@@ -164,7 +166,6 @@ class StreamingEstimationService:
         self.max_iterations = int(max_iterations)
         self.tolerance = float(tolerance)
         self.warm_start = bool(warm_start)
-        self.warm_floor = float(warm_floor)
         self._smoother = (
             make_grid_smoother(self.grid.d, strength=smoothing_strength)
             if smoothing_strength > 0 and self.grid.d > 1
@@ -185,8 +186,6 @@ class StreamingEstimationService:
         *,
         mechanism: MechanismName = "dam",
         b_hat: int | None = None,
-        postprocess: PostProcess = "ems",
-        backend: Backend = "operator",
         workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
         **kwargs,
@@ -204,8 +203,6 @@ class StreamingEstimationService:
             epsilon,
             mechanism=mechanism,
             b_hat=b_hat,
-            postprocess=postprocess,
-            backend=backend,
             workers=workers,
             shard_size=shard_size,
         )
@@ -285,7 +282,7 @@ class StreamingEstimationService:
         """
         if not self.warm_start or self._theta is None:
             return None
-        floored = np.maximum(self._theta, self.warm_floor / self.grid.n_cells)
+        floored = np.maximum(self._theta, WARM_FLOOR / self.grid.n_cells)
         return floored / floored.sum()
 
     def solve_window(self, *, initial: np.ndarray | None = None) -> EMResult:

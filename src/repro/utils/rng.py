@@ -62,8 +62,9 @@ def spawn_seed_sequences(seed: SeedLike, count: int) -> list[np.random.SeedSeque
     """Derive ``count`` independent child :class:`~numpy.random.SeedSequence` objects.
 
     This is the picklable half of :func:`spawn_rngs`: a ``SeedSequence`` travels
-    across process boundaries, so the parallel execution engine ships one child per
-    shard to its worker pool and every worker builds its own generator locally.
+    across process boundaries, so the trajectory engine and the experiment runner
+    ship one child per shard or repetition to their worker pools and every worker
+    builds its own generator locally.
     The derivation is exactly the one :func:`spawn_rngs` uses, so a serial run over
     ``spawn_rngs(seed, count)`` and a parallel run over
     ``spawn_seed_sequences(seed, count)`` consume identical random streams.
@@ -112,7 +113,7 @@ def supports_stream_splitting(rng: np.random.Generator) -> bool:
     """Whether ``rng``'s bit generator can be split positionally with ``advance``.
 
     PCG64 (the ``default_rng`` family), PCG64DXSM and Philox expose ``advance``;
-    MT19937 does not.  The parallel engine's ``"stream"`` RNG mode needs it.
+    MT19937 does not.  The parallel engine's shared-stream shards need it.
     """
     return hasattr(rng.bit_generator, "advance")
 
@@ -129,8 +130,8 @@ def generator_from_state(state: dict, advance_by: int = 0) -> np.random.Generato
     library consumes exactly one ``rng.random()`` double (one 64-bit draw) per user in
     input order, a worker that advances a shared base state by the number of users in
     all preceding shards reproduces, bit for bit, the uniforms a serial pass would
-    have handed to its shard — this is what makes the parallel pipeline's ``"stream"``
-    mode exactly equivalent to the serial one.
+    have handed to its shard — this is what makes the parallel pipeline exactly
+    equivalent to the serial one.
     """
     name = state["bit_generator"]
     try:
@@ -142,7 +143,7 @@ def generator_from_state(state: dict, advance_by: int = 0) -> np.random.Generato
         if not hasattr(bit_generator, "advance"):
             raise ValueError(
                 f"bit generator {name!r} does not support advance(); "
-                "use the 'spawn' RNG mode for parallel execution instead"
+                "use a PCG64-backed seed for parallel execution instead"
             )
         bit_generator.advance(int(advance_by))
     return np.random.Generator(bit_generator)

@@ -156,7 +156,7 @@ class TestTransitionMatrixMechanism:
         """Installing a dense matrix after an operator must fully switch backends,
         otherwise sampling would keep using the stale operator while EM uses the
         new matrix."""
-        mech = DiscreteDAM(unit_grid5, 2.0, b_hat=1, backend="operator")
+        mech = DiscreteDAM(unit_grid5, 2.0, b_hat=1)
         assert mech.operator is not None
         mech._set_transition(np.eye(unit_grid5.n_cells))
         assert mech.operator is None

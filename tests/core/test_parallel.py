@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.dam import DiscreteDAM
 from repro.core.domain import GridSpec, SpatialDomain
-from repro.core.estimator import ShardAggregate, StreamingAggregator
+from repro.core.estimator import ShardAggregate
 from repro.core.parallel import ParallelPipeline, run_sharded
 from repro.core.pipeline import DAMPipeline
 from repro.utils.rng import (
@@ -166,20 +166,14 @@ class TestStreamModeBitEquality:
         coarse = ParallelPipeline(domain, 6, 2.0, workers=1, shard_size=5000).run(points, seed=3)
         assert _identical(fine, coarse)
 
-    @pytest.mark.parametrize("mechanism", ["dam", "dam-ns", "huem"])
-    @pytest.mark.parametrize("backend", ["operator", "dense"])
-    def test_all_mechanisms_and_backends(self, domain, points, mechanism, backend):
-        serial = DAMPipeline(domain, 6, 2.0, mechanism=mechanism, backend=backend).run(
-            points[:3000], seed=5
-        )
+    # The ids name the transition path: every mechanism runs on the disk operator.
+    @pytest.mark.parametrize(
+        "mechanism", ["dam", "dam-ns", "huem"], ids=lambda name: f"operator-{name}"
+    )
+    def test_all_mechanisms_and_backends(self, domain, points, mechanism):
+        serial = DAMPipeline(domain, 6, 2.0, mechanism=mechanism).run(points[:3000], seed=5)
         parallel = ParallelPipeline(
-            domain,
-            6,
-            2.0,
-            mechanism=mechanism,
-            backend=backend,
-            workers=1,
-            shard_size=800,
+            domain, 6, 2.0, mechanism=mechanism, workers=1, shard_size=800
         ).run(points[:3000], seed=5)
         assert _identical(serial, parallel)
 
@@ -201,8 +195,9 @@ class TestStreamModeBitEquality:
     def test_mt19937_seed_rejected(self, domain, points):
         pipeline = ParallelPipeline(domain, 6, 2.0, workers=1)
         mt = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(ValueError, match="advance"):
+        with pytest.raises(ValueError, match="advance") as error:
             pipeline.run(points, seed=mt)
+        assert "PCG64" in str(error.value) and "spawn" not in str(error.value)
 
     @given(
         n_points=st.integers(min_value=1, max_value=400),
@@ -224,46 +219,6 @@ class TestStreamModeBitEquality:
         assert _identical(serial, parallel)
 
 
-class TestSpawnMode:
-    def test_invariant_to_worker_count(self, domain, points):
-        one = ParallelPipeline(
-            domain,
-            8,
-            2.0,
-            workers=1,
-            shard_size=2000,
-            rng_mode="spawn",
-        ).run(points, seed=9)
-        three = ParallelPipeline(
-            domain,
-            8,
-            2.0,
-            workers=3,
-            shard_size=2000,
-            rng_mode="spawn",
-        ).run(points, seed=9)
-        assert _identical(one, three)
-
-    def test_deterministic_in_seed(self, domain, points):
-        def run_once():
-            return ParallelPipeline(
-                domain,
-                8,
-                2.0,
-                workers=1,
-                shard_size=2000,
-                rng_mode="spawn",
-            ).run(points, seed=9)
-
-        assert _identical(run_once(), run_once())
-
-    def test_works_with_mt19937(self, domain, points):
-        pipeline = ParallelPipeline(domain, 6, 2.0, workers=1, shard_size=2000, rng_mode="spawn")
-        mt = np.random.Generator(np.random.MT19937(4))
-        result = pipeline.run(points, seed=mt)
-        assert result.n_users == points.shape[0]
-
-
 class TestValidation:
     def test_bad_workers(self, domain):
         with pytest.raises(ValueError):
@@ -272,10 +227,6 @@ class TestValidation:
     def test_bad_shard_size(self, domain):
         with pytest.raises(ValueError):
             ParallelPipeline(domain, 5, 2.0, shard_size=0)
-
-    def test_bad_rng_mode(self, domain):
-        with pytest.raises(ValueError):
-            ParallelPipeline(domain, 5, 2.0, rng_mode="shared")
 
     def test_bad_point_shape(self, domain):
         with pytest.raises(ValueError):
@@ -290,30 +241,11 @@ class TestValidation:
 
 
 class TestMultiprocessEquality:
-    """One real multi-process run per mode (the rest use the inline path for speed)."""
+    """One real multi-process run (the rest use the inline path for speed)."""
 
     def test_pool_matches_inline_stream(self, domain, points):
         inline = ParallelPipeline(domain, 6, 2.0, workers=1, shard_size=1500).run(points, seed=17)
         pooled = ParallelPipeline(domain, 6, 2.0, workers=4, shard_size=1500).run(points, seed=17)
-        assert _identical(inline, pooled)
-
-    def test_pool_matches_inline_spawn(self, domain, points):
-        inline = ParallelPipeline(
-            domain,
-            6,
-            2.0,
-            workers=1,
-            shard_size=1500,
-            rng_mode="spawn",
-        ).run(points, seed=17)
-        pooled = ParallelPipeline(
-            domain,
-            6,
-            2.0,
-            workers=4,
-            shard_size=1500,
-            rng_mode="spawn",
-        ).run(points, seed=17)
         assert _identical(inline, pooled)
 
 

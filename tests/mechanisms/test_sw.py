@@ -111,10 +111,6 @@ class TestDiscreteSquareWave:
         with pytest.raises(ValueError):
             sw.privatize(np.array([5]))
 
-    def test_invalid_postprocess_rejected(self):
-        with pytest.raises(ValueError):
-            DiscreteSquareWave(5, 1.0, postprocess="bogus")
-
     @given(st.integers(min_value=2, max_value=20), st.sampled_from([0.7, 1.4, 2.8, 5.0]))
     @settings(max_examples=20, deadline=None)
     def test_ldp_property(self, d, eps):

@@ -13,6 +13,7 @@ from repro.datasets.synthetic import shifting_hotspot_stream
 from repro.mechanisms.mdsw import MDSW
 from repro.queries.engine import QueryEngine, QueryLog, StreamingQueryEngine, WorkloadReplay
 from repro.streaming import StreamingEstimationService
+from repro.streaming.service import WARM_FLOOR
 
 
 @pytest.fixture(scope="module")
@@ -124,14 +125,13 @@ class TestServiceLoop:
             assert per_user_gap > -1e-3
 
     def test_warm_initial_floors_the_posterior(self, stream):
-        service = StreamingEstimationService.build(
-            stream.domain, 8, 3.0, window_epochs=2, seed=11, warm_floor=0.5
-        )
+        service = StreamingEstimationService.build(stream.domain, 8, 3.0, window_epochs=2, seed=11)
         assert service.warm_initial() is None  # nothing solved yet
         service.ingest_epoch(stream.epochs[0])
         initial = service.warm_initial()
         assert initial is not None
-        assert initial.min() >= 0.5 / (8 * 8) / (1.0 + 0.5)  # floored, renormalised
+        # Floored, then renormalised (the floor adds at most WARM_FLOOR of mass).
+        assert initial.min() >= WARM_FLOOR / (8 * 8) / (1.0 + WARM_FLOOR)
         assert initial.sum() == pytest.approx(1.0)
 
     def test_posterior_is_a_defensive_copy(self, stream):
@@ -175,8 +175,6 @@ class TestServiceLoop:
         mechanism = DiscreteDAM(grid, 2.0, b_hat=1)
         with pytest.raises(ValueError, match="max_iterations"):
             StreamingEstimationService(mechanism, max_iterations=0)
-        with pytest.raises(ValueError, match="warm_floor"):
-            StreamingEstimationService(mechanism, warm_floor=1.0)
         foreign = ParallelPipeline(stream.domain, 4, 2.0, workers=1)
         with pytest.raises(ValueError, match="same mechanism"):
             StreamingEstimationService(mechanism, pipeline=foreign)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -436,12 +438,36 @@ class TestStreamCommand:
     def test_stream_replay_rejects_epoch_mismatch(self, tmp_path, capsys):
         log_path = tmp_path / "session.json"
         assert main(self.STREAM_ARGS + ["--save-log", str(log_path)]) == 0
-        import json
         log = json.loads(log_path.read_text())
         log["epochs"] = log["epochs"][:-1]
         log_path.write_text(json.dumps(log))
         with pytest.raises(SystemExit, match="replay mismatch"):
             main(["stream", "--replay", str(log_path)])
+
+    def _log_with_backend(self, tmp_path, backend: str):
+        log_path = tmp_path / "session.json"
+        assert main(self.STREAM_ARGS + ["--save-log", str(log_path)]) == 0
+        log = json.loads(log_path.read_text())
+        log["config"]["backend"] = backend
+        log_path.write_text(json.dumps(log))
+        return log_path
+
+    def test_stream_replay_refuses_a_dense_backend_log(self, tmp_path, capsys):
+        # The dense row sampler drew other reports from the same seed, so such a
+        # session cannot be reproduced on the disk operator.
+        log_path = self._log_with_backend(tmp_path, "dense")
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match='"backend": "dense"'):
+            main(["stream", "--replay", str(log_path)])
+        assert "max |MAE - logged|" not in capsys.readouterr().out
+
+    def test_stream_replay_accepts_an_operator_backend_log(self, tmp_path, capsys):
+        log_path = self._log_with_backend(tmp_path, "operator")
+        capsys.readouterr()
+        assert main(["stream", "--replay", str(log_path)]) == 0
+        out = capsys.readouterr().out
+        assert "max |MAE - logged| = 0.00e+00" in out
+        assert "iterations identical" in out
 
 
 class TestStreamTrajectoryWorkload:
