@@ -46,19 +46,19 @@ def main() -> None:
     ascii_heatmap(result.true_distribution.probabilities, "true density (never leaves the users)")
     ascii_heatmap(result.estimate.probabilities, "privately estimated density")
 
-    # The pipeline runs on the structured transition-operator engine by default, so
+    # The pipeline runs on the structured transition-operator engine, so
     # randomisation and EM never materialise the dense (d^2, m) transition matrix.
-    # For datasets too large to hold in memory, stream shards instead — with a fixed
-    # seed the result is identical to the one-batch call above:
+    # The call above runs a one-worker ParallelPipeline.  For datasets too large to
+    # hold in memory, stream chunks through it instead: each chunk is privatized as
+    # it arrives, and with a fixed seed the result is identical to the one-batch call:
     #
-    #   from repro import DAMPipeline, SpatialDomain
-    #   pipeline = DAMPipeline(SpatialDomain.unit(), d=12, epsilon=2.0)
-    #   result = pipeline.run_stream(shard_iterator(), seed=0)
+    #   from repro import ParallelPipeline, SpatialDomain
+    #   pipeline = ParallelPipeline(SpatialDomain.unit(), d=12, epsilon=2.0)
+    #   result = pipeline.run_stream(chunk_iterator(), seed=0)
     #
     # And to privatize the shards on a process pool — still bit-identical to the
     # serial run at any worker count:
     #
-    #   from repro import ParallelPipeline
     #   pipeline = ParallelPipeline(SpatialDomain.unit(), d=12, epsilon=2.0, workers=4)
     #   result = pipeline.run(locations, seed=0)
 

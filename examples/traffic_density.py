@@ -11,7 +11,7 @@ Run with:  python examples/traffic_density.py
 
 from __future__ import annotations
 
-from repro.core.pipeline import DAMPipeline
+from repro.core.parallel import ParallelPipeline
 from repro.core.radius import grid_radius, optimal_radius
 from repro.datasets.loader import load_dataset
 from repro.metrics import wasserstein2_auto
@@ -40,7 +40,7 @@ def main() -> None:
     for d in RESOLUTIONS:
         row = [f"{d:<8}"]
         for epsilon in BUDGETS:
-            pipeline = DAMPipeline(unit_domain, d=d, epsilon=epsilon)
+            pipeline = ParallelPipeline(unit_domain, d=d, epsilon=epsilon)
             result = pipeline.run(unit_points, seed=2)
             error = wasserstein2_auto(result.true_distribution, result.estimate)
             row.append(f"{error:>9.4f}")

@@ -8,7 +8,8 @@ and baseline its evaluation depends on:
 * ``repro.core`` — SAM / HUEM / DAM (continuous and grid-discretised), radius selection,
   shrinkage geometry, GridAreaResponse, the structured disk operator (whole-batch
   sampling; sparse or FFT EM matvecs, chosen by size), EM post-processing and the
-  end-to-end pipeline;
+  one end-to-end pipeline, ``ParallelPipeline`` (Algorithm 1 on one worker or a
+  process pool, bit-identical either way);
 * ``repro.mechanisms`` — the baselines: categorical frequency oracles, Square Wave /
   MDSW, Geo-I, SEM-Geo-I, SR/PM and HDG;
 * ``repro.metrics`` — exact and Sinkhorn Wasserstein distances, sliced Wasserstein /
@@ -43,7 +44,6 @@ Quickstart::
 """
 
 from repro.core import (
-    DAMPipeline,
     DiscreteDAM,
     DiscreteDAMNoShrink,
     DiscreteHUEM,
@@ -86,7 +86,6 @@ from repro.trajectory import TrajectoryEngine
 __version__ = "1.9.0"
 
 __all__ = [
-    "DAMPipeline",
     "ParallelPipeline",
     "DiscreteDAM",
     "DiscreteDAMNoShrink",

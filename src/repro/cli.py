@@ -80,8 +80,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.domain import GridSpec, SpatialDomain
-from repro.core.parallel import DEFAULT_SHARD_SIZE, ParallelPipeline
-from repro.core.pipeline import estimate_spatial_distribution
+from repro.core.parallel import (
+    DEFAULT_SHARD_SIZE,
+    ParallelPipeline,
+    estimate_spatial_distribution,
+)
 from repro.datasets.loader import DATASET_NAMES, load_dataset
 from repro.datasets.synthetic import DRIFT_SCENARIOS
 from repro.datasets.trajectories import TRAJECTORY_DRIFT_SCENARIOS, generate_trajectories
@@ -110,6 +113,7 @@ from repro.trajectory.adapter import (
     trajectory_point_distribution,
 )
 from repro.trajectory.engine import TrajectoryEngine
+from repro.utils.validation import check_epsilon
 from repro.utils.visual import ascii_heatmap, side_by_side
 
 _FIGURES = {
@@ -119,6 +123,41 @@ _FIGURES = {
     "fig9-small-eps": figure9_small_epsilon,
     "fig9-large-eps": figure9_large_epsilon,
 }
+
+
+def _argument_type(requirement: str, parse, accept):
+    """An argparse ``type=`` that parses a flag and keeps it only if ``accept`` holds.
+
+    A value out of range is then a usage error (exit code 2) naming the flag, not a
+    traceback from deep inside the library.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {requirement}, got {text!r}")
+        return value
+
+    return convert
+
+
+_positive_int = _argument_type("a positive integer", int, lambda value: value >= 1)
+_non_negative_int = _argument_type("a non-negative integer", int, lambda value: value >= 0)
+_fraction = _argument_type("a fraction in (0, 1]", float, lambda value: 0.0 < value <= 1.0)
+
+
+def _accepted_epsilon(value: float) -> bool:
+    try:
+        check_epsilon(value)
+    except ValueError:
+        return False
+    return True
+
+
+_epsilon = _argument_type("a privacy budget in (0, 100]", float, _accepted_epsilon)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,23 +179,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument(
         "--scale",
-        type=float,
+        type=_fraction,
         default=0.02,
         help="dataset scale when --dataset is used (default 0.02)",
     )
-    estimate.add_argument("--epsilon", type=float, default=3.5, help="privacy budget")
-    estimate.add_argument("--d", type=int, default=12, help="grid side length")
+    estimate.add_argument("--epsilon", type=_epsilon, default=3.5, help="privacy budget")
+    estimate.add_argument("--d", type=_positive_int, default=12, help="grid side length")
     estimate.add_argument("--mechanism", choices=("dam", "dam-ns", "huem"), default="dam")
     estimate.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="shard size: users privatized per shard (default "
              f"{DEFAULT_SHARD_SIZE}; same result as one batch)",
     )
     estimate.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="privatize shards on this many worker processes "
              "(bit-identical to the serial run; default 1)",
@@ -174,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="fan sweep cells out to this many worker processes "
              "(same numbers as the serial run; default 1)",
@@ -204,17 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--scale",
-        type=float,
+        type=_fraction,
         default=0.02,
         help="dataset scale when --dataset is used (default 0.02)",
     )
-    query.add_argument("--epsilon", type=float, default=3.5, help="privacy budget")
-    query.add_argument("--d", type=int, default=16, help="grid side length")
+    query.add_argument("--epsilon", type=_epsilon, default=3.5, help="privacy budget")
+    query.add_argument("--d", type=_positive_int, default=16, help="grid side length")
     query.add_argument("--mechanism", choices=("dam", "dam-ns", "huem"), default="dam")
     query.add_argument("--seed", type=int, default=0)
     query.add_argument(
         "--n-queries",
-        type=int,
+        type=_positive_int,
         default=2000,
         help="size of the generated range-query workload (default 2000)",
     )
@@ -231,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest query side as a fraction of the domain",
     )
     query.add_argument(
-        "--top-k", type=int, default=5, help="number of hotspot cells to report (0 disables)"
+        "--top-k",
+        type=_non_negative_int,
+        default=5,
+        help="number of hotspot cells to report (0 disables)",
     )
     query.add_argument(
         "--quantiles",
@@ -277,24 +319,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trajectory.add_argument(
         "--scale",
-        type=float,
+        type=_fraction,
         default=0.02,
         help="dataset scale when --dataset is used (default 0.02)",
     )
     trajectory.add_argument(
-        "--routing-d", type=int, default=60, help="side of the Appendix-D routing grid (default 60)"
+        "--routing-d",
+        type=_positive_int,
+        default=60,
+        help="side of the Appendix-D routing grid (default 60)",
     )
     trajectory.add_argument(
         "--n-trajectories",
-        type=int,
+        type=_positive_int,
         default=200,
         help="number of generated input trajectories (default 200)",
     )
     trajectory.add_argument(
-        "--max-length", type=int, default=40, help="maximum trajectory length (default 40)"
+        "--max-length",
+        type=_positive_int,
+        default=40,
+        help="maximum trajectory length (default 40)",
     )
-    trajectory.add_argument("--epsilon", type=float, default=1.5, help="privacy budget")
-    trajectory.add_argument("--d", type=int, default=12, help="analysis grid side length")
+    trajectory.add_argument("--epsilon", type=_epsilon, default=1.5, help="privacy budget")
+    trajectory.add_argument("--d", type=_positive_int, default=12, help="analysis grid side length")
     trajectory.add_argument(
         "--mechanism",
         choices=("ldptrace", "pivottrace", "dam", "all"),
@@ -303,21 +351,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trajectory.add_argument(
         "--n-output",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="number of synthesized trajectories "
              "(default: same as the input set)",
     )
     trajectory.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="shard LDP report collection over this many worker "
              "processes (default 1; numbers are worker-invariant)",
     )
     trajectory.add_argument(
         "--top-k",
-        type=int,
+        type=_non_negative_int,
         default=5,
         help="OD/transition hotspots printed after synthesis "
              "(0 disables)",
@@ -350,52 +398,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--epochs",
-        type=int,
+        type=_positive_int,
         default=20,
         help="number of collection epochs in the stream (default 20)",
     )
     stream.add_argument(
         "--users-per-epoch",
-        type=int,
+        type=_positive_int,
         default=2000,
         help="reports arriving per epoch (point workload; default 2000)",
     )
     stream.add_argument(
         "--trajectories-per-epoch",
-        type=int,
+        type=_positive_int,
         default=500,
         help="trajectories arriving per epoch (trajectory workload; default 500)",
     )
     stream.add_argument(
         "--max-length",
-        type=int,
+        type=_positive_int,
         default=30,
         help="maximum trajectory length in the generated stream "
              "(trajectory workload; default 30)",
     )
     stream.add_argument(
         "--n-synthetic",
-        type=int,
+        type=_positive_int,
         default=500,
         help="synthetic trajectories published per epoch "
              "(trajectory workload; default 500)",
     )
     stream.add_argument(
-        "--window", type=int, default=8, help="sliding-window length in epochs (default 8)"
+        "--window",
+        type=_positive_int,
+        default=8,
+        help="sliding-window length in epochs (default 8)",
     )
     stream.add_argument(
         "--decay",
-        type=float,
+        type=_fraction,
         default=None,
         help="optional exponential decay in (0, 1] applied per slide "
              "(default: hard window, no decay)",
     )
-    stream.add_argument("--epsilon", type=float, default=3.5, help="privacy budget")
-    stream.add_argument("--d", type=int, default=16, help="grid side length")
+    stream.add_argument("--epsilon", type=_epsilon, default=3.5, help="privacy budget")
+    stream.add_argument("--d", type=_positive_int, default=16, help="grid side length")
     stream.add_argument("--mechanism", choices=("dam", "dam-ns", "huem"), default="dam")
     stream.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="privatize each epoch's shards on this many worker "
              "processes (bit-identical to the serial run; default 1)",
@@ -431,43 +482,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--epochs",
-        type=int,
+        type=_positive_int,
         default=6,
         help="number of ingest epochs to serve through (default 6)",
     )
     serve.add_argument(
         "--users-per-epoch",
-        type=int,
+        type=_positive_int,
         default=2000,
         help="reports arriving per epoch (default 2000)",
     )
     serve.add_argument(
-        "--window", type=int, default=4, help="sliding-window length in epochs (default 4)"
+        "--window",
+        type=_positive_int,
+        default=4,
+        help="sliding-window length in epochs (default 4)",
     )
     serve.add_argument(
         "--decay",
-        type=float,
+        type=_fraction,
         default=None,
         help="optional exponential decay in (0, 1] applied per slide",
     )
-    serve.add_argument("--epsilon", type=float, default=3.5, help="privacy budget")
-    serve.add_argument("--d", type=int, default=16, help="grid side length")
+    serve.add_argument("--epsilon", type=_epsilon, default=3.5, help="privacy budget")
+    serve.add_argument("--d", type=_positive_int, default=16, help="grid side length")
     serve.add_argument("--mechanism", choices=("dam", "dam-ns", "huem"), default="dam")
     serve.add_argument(
         "--serve-workers",
-        type=int,
+        type=_positive_int,
         default=2,
         help="serving worker processes answering queries (default 2)",
     )
     serve.add_argument(
         "--queries-per-epoch",
-        type=int,
+        type=_positive_int,
         default=20_000,
         help="range queries served between consecutive publishes (default 20000)",
     )
     serve.add_argument(
         "--batch-rows",
-        type=int,
+        type=_positive_int,
         default=4096,
         help="rows per admitted query batch / coalesced worker task (default 4096)",
     )
@@ -533,10 +587,6 @@ def _load_points(args) -> np.ndarray:
 
 def _run_estimate(args) -> int:
     points = _load_points(args)
-    if args.workers < 1:
-        raise SystemExit("--workers must be a positive integer")
-    if args.chunk_size is not None and args.chunk_size < 1:
-        raise SystemExit("--chunk-size must be a positive integer")
     pipeline = ParallelPipeline(
         SpatialDomain.from_points(points, relative_pad=1e-9),
         args.d,
@@ -565,8 +615,6 @@ def _run_estimate(args) -> int:
 
 def _run_query(args) -> int:
     points = _load_points(args)
-    if args.n_queries < 1:
-        raise SystemExit("--n-queries must be a positive integer")
     result = estimate_spatial_distribution(
         points,
         epsilon=args.epsilon,
@@ -660,12 +708,6 @@ def _print_model_summary(model, grid) -> None:
 
 
 def _run_trajectory(args) -> int:
-    if args.workers < 1:
-        raise SystemExit("--workers must be a positive integer")
-    if args.n_trajectories < 1:
-        raise SystemExit("--n-trajectories must be a positive integer")
-    if args.n_output is not None and args.n_output < 0:
-        raise SystemExit("--n-output must be non-negative")
     dataset, domain = _generate_trajectory_workload(args)
 
     if args.mode == "compare":
@@ -824,20 +866,6 @@ def _stream_trajectory_session(config: dict) -> tuple[dict, list[dict]]:
 
 
 def _run_stream(args) -> int:
-    if args.workers < 1:
-        raise SystemExit("--workers must be a positive integer")
-    if args.epochs < 1:
-        raise SystemExit("--epochs must be a positive integer")
-    if args.users_per_epoch < 1:
-        raise SystemExit("--users-per-epoch must be a positive integer")
-    if args.trajectories_per_epoch < 1:
-        raise SystemExit("--trajectories-per-epoch must be a positive integer")
-    if args.n_synthetic < 1:
-        raise SystemExit("--n-synthetic must be a positive integer")
-    if args.window < 1:
-        raise SystemExit("--window must be a positive integer")
-    if args.decay is not None and not 0.0 < args.decay <= 1.0:
-        raise SystemExit("--decay must lie in (0, 1]")
     scenarios = DRIFT_SCENARIOS if args.workload == "point" else TRAJECTORY_DRIFT_SCENARIOS
     scenario = args.scenario
     if scenario is None:
@@ -956,8 +984,6 @@ def _run_stream(args) -> int:
 
 def _run_figure(args) -> int:
     config = smoke_config() if args.profile == "smoke" else laptop_config()
-    if args.workers < 1:
-        raise SystemExit("--workers must be a positive integer")
     config = config.with_overrides(
         workers=args.workers,
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
@@ -987,20 +1013,6 @@ def _run_serve(args) -> int:
     # the other (single-process) subcommands never need.
     from repro.serving import ServingServer
 
-    if args.serve_workers < 1:
-        raise SystemExit("--serve-workers must be a positive integer")
-    if args.epochs < 1:
-        raise SystemExit("--epochs must be a positive integer")
-    if args.users_per_epoch < 1:
-        raise SystemExit("--users-per-epoch must be a positive integer")
-    if args.queries_per_epoch < 1:
-        raise SystemExit("--queries-per-epoch must be a positive integer")
-    if args.batch_rows < 1:
-        raise SystemExit("--batch-rows must be a positive integer")
-    if args.window < 1:
-        raise SystemExit("--window must be a positive integer")
-    if args.decay is not None and not 0.0 < args.decay <= 1.0:
-        raise SystemExit("--decay must lie in (0, 1]")
     http_host = http_port = None
     if args.http is not None:
         http_host, _, port_text = args.http.rpartition(":")

@@ -11,8 +11,9 @@ Public surface:
   :class:`StreamingAggregator`;
 * radius selection — :func:`optimal_radius`, :func:`grid_radius`;
 * post-processing — :func:`expectation_maximization`, :func:`matrix_inversion_estimate`;
-* end-to-end pipeline — :class:`DAMPipeline`, :func:`estimate_spatial_distribution`,
-  and the shard-parallel :class:`ParallelPipeline`.
+* end-to-end pipeline — :class:`ParallelPipeline` (Algorithm 1 over sharded
+  privatization, on one worker or a process pool) and
+  :func:`estimate_spatial_distribution`.
 """
 
 from repro.core.dam import DiscreteDAM, DiscreteDAMNoShrink, DiskOutputDomain
@@ -37,8 +38,7 @@ from repro.core.operator import (
     DiskTransitionOperator,
     build_disk_operator,
 )
-from repro.core.parallel import ParallelPipeline
-from repro.core.pipeline import DAMPipeline, PipelineResult, estimate_spatial_distribution
+from repro.core.parallel import ParallelPipeline, PipelineResult, estimate_spatial_distribution
 from repro.core.postprocess import (
     EMResult,
     adaptive_smoothing_strength,
@@ -89,7 +89,6 @@ __all__ = [
     "DiscreteHUEM",
     "huem_cell_masses",
     "huem_cell_masses_fan_rings",
-    "DAMPipeline",
     "ParallelPipeline",
     "PipelineResult",
     "estimate_spatial_distribution",

@@ -20,7 +20,8 @@ Two throughput facilities live here as well:
   (or delegates to a structured :class:`~repro.core.operator.DiskTransitionOperator`
   when one is installed), instead of one ``Generator.choice`` call per distinct cell;
 * :class:`StreamingAggregator` ingests reports in shards so callers never have to
-  hold all points in memory — see :meth:`SpatialMechanism.run_stream`.
+  hold all points in memory; its :class:`ShardAggregate` snapshots are the one count
+  algebra that shards, windows and the pipeline fold with.
 """
 
 from __future__ import annotations
@@ -123,19 +124,6 @@ class SpatialMechanism(abc.ABC):
     def streaming_aggregator(self, seed=None) -> "StreamingAggregator":
         """A chunked-ingestion aggregator bound to this mechanism."""
         return StreamingAggregator(self, seed=seed)
-
-    def run_stream(self, chunks, seed=None) -> MechanismReport:
-        """Like :meth:`run` but over an iterable of point-array shards.
-
-        Each shard is privatized and histogrammed as it arrives, so memory stays
-        bounded by the shard size plus the output-domain histogram regardless of the
-        total number of users.  With a fixed seed the result is identical to one
-        :meth:`run` call over the concatenated shards.
-        """
-        aggregator = self.streaming_aggregator(seed=seed)
-        for chunk in chunks:
-            aggregator.add_points(chunk)
-        return aggregator.finalize()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -260,8 +248,8 @@ class ShardAggregate:
 
     A plain value object (three arrays/counters, no mechanism reference) so worker
     processes can ship their shard's aggregate back to the coordinator cheaply; the
-    coordinator folds any number of these into one aggregator with
-    :meth:`StreamingAggregator.merge` before a single estimation solve.
+    coordinator folds any number of these with :meth:`merged` before a single
+    estimation solve.
 
     The class is also the point-mechanism implementation of the *functional*
     mergeable-aggregate protocol (:mod:`repro.streaming.protocol`):
@@ -310,11 +298,10 @@ class ShardAggregate:
     def subtracted(self, other: "ShardAggregate") -> "ShardAggregate":
         """The exact inverse of :meth:`merged` — pure count algebra, no guard.
 
-        ``a.merged(b).subtracted(b)`` is bit-identical to ``a``.  Unlike
-        :meth:`StreamingAggregator.subtract` this does not reject counts that were
-        never merged: the decayed sliding window legitimately subtracts scaled
-        epochs from decayed totals, where tiny negative float residues are
-        expected and cleaned up by :meth:`clamped`.
+        ``a.merged(b).subtracted(b)`` is bit-identical to ``a``.  It does not
+        reject counts that were never merged: the decayed sliding window
+        legitimately subtracts scaled epochs from decayed totals, where tiny
+        negative float residues are expected and cleaned up by :meth:`clamped`.
         """
         self._check_algebra(other, "subtract")
         return ShardAggregate(
@@ -349,13 +336,12 @@ class StreamingAggregator:
     seed the accumulated histogram is identical to a single batch run over the
     concatenated shards.
 
-    Aggregators are also *mergeable*: :meth:`state` snapshots the partial counts as a
-    :class:`ShardAggregate`, :meth:`merge` folds another aggregator's (or shard's)
-    counts into this one and :meth:`subtract` removes them again (the exact inverse;
-    the sliding windows in :mod:`repro.streaming` maintain the same count algebra).
-    Because all the state is additive histograms, privatizing shards on independent
-    workers and merging is exactly equivalent to one sequential pass — the
-    foundation of :class:`repro.core.parallel.ParallelPipeline`.
+    :meth:`state` snapshots the partial counts as a :class:`ShardAggregate`, whose
+    :meth:`~ShardAggregate.merged` / :meth:`~ShardAggregate.subtracted` are the count
+    algebra of the sliding windows in :mod:`repro.streaming`.  Because all the state
+    is additive histograms, privatizing shards on independent workers and merging
+    their snapshots is exactly equivalent to one sequential pass — the foundation
+    of :class:`repro.core.parallel.ParallelPipeline`.
 
     Examples
     --------
@@ -401,73 +387,6 @@ class StreamingAggregator:
             true_cell_counts=self.true_cell_counts.copy(),
             n_users=self.n_users,
         )
-
-    def _check_mergeable(
-        self, other: "StreamingAggregator | ShardAggregate", verb: str
-    ) -> ShardAggregate:
-        if isinstance(other, StreamingAggregator):
-            other = other.state()
-        if not isinstance(other, ShardAggregate):
-            raise TypeError(
-                f"{verb} expects a StreamingAggregator or ShardAggregate, "
-                f"got {type(other).__name__}"
-            )
-        if other.noisy_counts.shape != self.noisy_counts.shape:
-            raise ValueError(
-                f"cannot {verb}: noisy-count histograms have shapes "
-                f"{other.noisy_counts.shape} vs {self.noisy_counts.shape} "
-                "(different mechanisms or output domains?)"
-            )
-        if other.true_cell_counts.shape != self.true_cell_counts.shape:
-            raise ValueError(
-                f"cannot {verb}: true-cell histograms have shapes "
-                f"{other.true_cell_counts.shape} vs {self.true_cell_counts.shape} "
-                "(different grids?)"
-            )
-        return other
-
-    def merge(self, other: "StreamingAggregator | ShardAggregate") -> "StreamingAggregator":
-        """Fold another aggregator's (or shard snapshot's) counts into this one.
-
-        Merging is commutative and associative on the counts, so any tree of
-        per-shard aggregators collapses to the same histogram a single sequential
-        pass over all shards would have produced.
-        """
-        other = self._check_mergeable(other, "merge")
-        self.noisy_counts += other.noisy_counts
-        self.true_cell_counts += other.true_cell_counts
-        self.n_users += other.n_users
-        return self
-
-    def subtract(self, other: "StreamingAggregator | ShardAggregate") -> "StreamingAggregator":
-        """Remove a previously merged shard's counts — the exact inverse of :meth:`merge`.
-
-        Because every count is an integer-valued float (``bincount`` output) well
-        below 2**53, float addition and subtraction of shard histograms are exact:
-        ``merge(s)`` followed by ``subtract(s)`` restores the aggregator's state bit
-        for bit.  This is the public inverse for callers retiring a shard from a
-        long-lived aggregator; :class:`repro.streaming.WindowedAggregator` applies
-        the same exact count algebra internally (on plain arrays, so hard windows
-        and exponential decay share one slide path) and property-tests its
-        equivalence to ``merge``/``subtract`` round trips.
-
-        Subtracting counts that were never merged is detected (some histogram bin or
-        the user counter would go negative) and rejected.
-        """
-        other = self._check_mergeable(other, "subtract")
-        if (
-            other.n_users > self.n_users
-            or np.any(other.noisy_counts > self.noisy_counts)
-            or np.any(other.true_cell_counts > self.true_cell_counts)
-        ):
-            raise ValueError(
-                "cannot subtract counts that were never merged: some bin of the "
-                "shard's histograms exceeds the aggregator's running counts"
-            )
-        self.noisy_counts -= other.noisy_counts
-        self.true_cell_counts -= other.true_cell_counts
-        self.n_users -= other.n_users
-        return self
 
     def finalize(self) -> MechanismReport:
         """Post-process the accumulated histogram into a distribution estimate.

@@ -1,25 +1,40 @@
-"""Parallel sharded execution of the DAM pipeline.
+"""Algorithm 1 end to end: the DAM processing framework as one sharded pipeline.
 
-:class:`~repro.core.pipeline.DAMPipeline` processes every user in one process.  This
-module scales the privatization stage across a process pool while keeping the result
-*bit-identical* to the serial path:
+Algorithm 1 takes a raw point set, a square range of side ``L``, a cell side ``g`` and
+a privacy budget ``eps``; it bucketises the range into a grid, randomises each point's
+cell with ``GridAreaResponse``, accumulates the noisy map and post-processes it into a
+distribution estimate.  :class:`ParallelPipeline` packages those steps behind a small
+API so applications (the examples in ``examples/``) never have to touch transition
+matrices, while :func:`estimate_spatial_distribution` is the one-call convenience
+entry point.
 
-* the user population is split into shards;
-* each worker privatizes its shards with a deterministically derived per-shard
-  generator and returns only the additive partial state (a
-  :class:`~repro.core.estimator.ShardAggregate` — two histograms and a counter);
-* the coordinator merges the shard aggregates in shard order and runs a single EM
-  solve on the combined histogram, exactly as the serial pipeline would.
+:meth:`~ParallelPipeline.run`, :meth:`~ParallelPipeline.run_stream` and
+:meth:`~ParallelPipeline.aggregate` share one path:
 
-Every worker rebuilds the *same* base generator state and advances it by the number
-of users in all preceding shards.  Since every batch sampler in the library consumes
+* the points are filtered to the domain and cut into shards (at most ``shard_size``
+  users each, never spanning two chunks of a stream);
+* each shard is privatized with a deterministically derived per-shard generator
+  into its additive partial state (a :class:`~repro.core.estimator.ShardAggregate`
+  — two histograms and a counter);
+* the aggregates are folded in shard order with
+  :meth:`~repro.core.estimator.ShardAggregate.merged`, and one EM solve runs on the
+  combined histogram.
+
+With one worker (the default) every shard is privatized and folded as it arrives, so
+a stream holds one chunk and the running aggregate at a time, however many users it
+carries.  A process pool first collects every shard, then privatizes them in
+parallel.
+
+Each shard's generator is the caller's generator state advanced by the number of
+users in all preceding shards.  Since every batch sampler in the library consumes
 exactly one ``rng.random()`` double per user in input order (see
 :meth:`repro.core.operator.DiskTransitionOperator.sample`), the shards jointly
-consume the very stream a serial pass would have — so the reports, the histograms
-and therefore the estimate are bit-identical to :meth:`DAMPipeline.run` /
-:meth:`DAMPipeline.run_stream` with the same seed, for any shard size and any worker
-count.  This requires a bit generator with ``advance`` (PCG64/Philox — i.e.
-everything ``default_rng`` produces).
+consume the very stream one serial pass would have — so the reports, the histograms
+and therefore the estimate are bit-identical to ``pipeline.mechanism.run`` on the
+in-domain points with the same seed, for any shard size and any worker count, and
+the caller's generator is left where that pass would leave it.  This requires a bit
+generator with ``advance`` (PCG64/Philox — i.e. everything ``default_rng``
+produces).
 
 Workers are plain processes (``concurrent.futures.ProcessPoolExecutor``); each builds
 its mechanism once from a small picklable spec in the pool initializer, so shipping
@@ -29,22 +44,26 @@ back costs two histograms.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from repro.core.domain import GridDistribution, SpatialDomain
-from repro.core.estimator import ShardAggregate
-from repro.core.pipeline import DAMPipeline, MechanismName, PipelineResult
+from repro.core.dam import DiscreteDAM
+from repro.core.domain import GridDistribution, GridSpec, SpatialDomain
+from repro.core.estimator import ShardAggregate, TransitionMatrixMechanism
+from repro.core.huem import DiscreteHUEM
+from repro.core.radius import grid_radius
 from repro.utils.rng import (
     ensure_rng,
     generator_from_state,
     generator_state,
     supports_stream_splitting,
 )
+from repro.utils.validation import check_epsilon, check_grid_side
+
+MechanismName = Literal["dam", "dam-ns", "huem"]
 
 #: Default number of users per shard.  Large enough that per-shard Python overhead
 #: (pickling, one bincount) is negligible, small enough that a handful of shards
@@ -52,21 +71,53 @@ from repro.utils.rng import (
 DEFAULT_SHARD_SIZE = 50_000
 
 
+@dataclass
+class PipelineResult:
+    """Everything Algorithm 1 produces, plus bookkeeping useful to applications."""
+
+    #: the reconstructed distribution map ``R`` over the input grid
+    estimate: GridDistribution
+    #: the true (non-private) empirical distribution, for utility evaluation
+    true_distribution: GridDistribution
+    #: histogram of noisy reports over the mechanism's output domain
+    noisy_counts: np.ndarray
+    #: number of users that contributed a report
+    n_users: int
+    #: the integer high-probability radius actually used
+    b_hat: int
+    #: name of the mechanism used
+    mechanism: str = "DAM"
+    #: extra metadata (epsilon, grid side, ...)
+    info: dict = field(default_factory=dict)
+
+
+def _build_mechanism(
+    name: MechanismName, grid: GridSpec, epsilon: float, b_hat: int
+) -> TransitionMatrixMechanism:
+    if name == "dam":
+        return DiscreteDAM(grid, epsilon, b_hat=b_hat)
+    if name == "dam-ns":
+        return DiscreteDAM(grid, epsilon, b_hat=b_hat, use_shrinkage=False)
+    if name == "huem":
+        return DiscreteHUEM(grid, epsilon, b_hat=b_hat)
+    raise ValueError(f"unknown mechanism {name!r}; expected 'dam', 'dam-ns' or 'huem'")
+
+
 @dataclass(frozen=True)
 class _PipelineSpec:
-    """Everything a worker needs to rebuild the pipeline — tiny and picklable."""
+    """Everything a worker needs to rebuild the mechanism — tiny and picklable."""
 
     bounds: tuple[float, float, float, float]
     domain_name: str
     d: int
     epsilon: float
     mechanism: MechanismName
-    b_hat: int | None
+    b_hat: int
 
     def build(self) -> "_PipelineShardRunner":
-        domain = SpatialDomain(*self.bounds, name=self.domain_name)
+        grid = GridSpec(SpatialDomain(*self.bounds, name=self.domain_name), self.d)
         return _PipelineShardRunner(
-            DAMPipeline(domain, self.d, self.epsilon, mechanism=self.mechanism, b_hat=self.b_hat)
+            _build_mechanism(self.mechanism, grid, self.epsilon, self.b_hat)
         )
 
 
@@ -83,22 +134,18 @@ class _ShardTask:
     offset: int
 
 
-def _privatize_shard(pipeline: DAMPipeline, task: _ShardTask) -> ShardAggregate:
-    """Privatize one shard and return its additive partial state."""
-    rng = generator_from_state(task.base_state, advance_by=task.offset)
-    aggregator = pipeline.mechanism.streaming_aggregator(seed=rng)
-    aggregator.add_points(task.points)
-    return aggregator.state()
-
-
 @dataclass
 class _PipelineShardRunner:
-    """Worker context of the DAM pipeline: one built pipeline, one shard at a time."""
+    """Worker context of the pipeline: one built mechanism, one shard at a time."""
 
-    pipeline: DAMPipeline
+    mechanism: TransitionMatrixMechanism
 
     def run_shard(self, task: _ShardTask) -> ShardAggregate:
-        return _privatize_shard(self.pipeline, task)
+        """Privatize one shard and return its additive partial state."""
+        rng = generator_from_state(task.base_state, advance_by=task.offset)
+        aggregator = self.mechanism.streaming_aggregator(seed=rng)
+        aggregator.add_points(task.points)
+        return aggregator.state()
 
 
 # Worker-process global, installed once per worker by the pool initializer so the
@@ -147,19 +194,28 @@ def run_sharded(spec, tasks: Sequence, workers: int, *, inline_context=None) -> 
 
 
 class ParallelPipeline:
-    """Shard-parallel Algorithm 1: privatize on a worker pool, solve EM once.
+    """The DAM Processing Framework (Algorithm 1): sharded privatization, one EM solve.
 
     Parameters
     ----------
-    domain, d, epsilon, mechanism, b_hat:
-        Exactly as for :class:`~repro.core.pipeline.DAMPipeline`.
+    domain:
+        The square (or rectangular) region covered by the analysis.
+    d:
+        Number of grid cells per side (the paper's discrete side length).
+    epsilon:
+        Privacy budget per user report.
+    mechanism:
+        ``"dam"`` (default), ``"dam-ns"`` (no shrinkage) or ``"huem"``; it
+        post-processes with EMS, the paper's choice.
+    b_hat:
+        Optional override of the integer high-probability radius; defaults to the
+        mutual-information-optimal choice of Section V-C.
     workers:
-        Size of the process pool.  ``None`` uses ``os.cpu_count()``; ``1`` executes
-        the same sharded plan inline (no subprocesses), which is useful for tests
-        and single-core machines.
+        Size of the process pool.  ``1`` (the default) privatizes every shard
+        inline, as it arrives, without subprocesses.
     shard_size:
-        Number of users per shard for :meth:`run`.  :meth:`run_stream` shards at
-        the caller's chunk boundaries instead.
+        Largest number of users per shard.  :meth:`run_stream` additionally cuts
+        at the caller's chunk boundaries.
     """
 
     def __init__(
@@ -170,77 +226,94 @@ class ParallelPipeline:
         *,
         mechanism: MechanismName = "dam",
         b_hat: int | None = None,
-        workers: int | None = None,
+        workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
     ) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self.workers = int(workers)
         self.shard_size = int(shard_size)
-        self.pipeline = DAMPipeline(domain, d, epsilon, mechanism=mechanism, b_hat=b_hat)
+        self.domain = domain
+        self.d = check_grid_side(d)
+        self.epsilon = check_epsilon(epsilon)
+        self.grid = GridSpec(domain, self.d)
+        if b_hat is None:
+            b_hat = grid_radius(self.epsilon, self.d, domain.side_length)
+        self.b_hat = int(b_hat)
+        self.mechanism = _build_mechanism(mechanism, self.grid, self.epsilon, self.b_hat)
         self._spec = _PipelineSpec(
             bounds=domain.bounds,
             domain_name=domain.name,
-            d=d,
-            epsilon=epsilon,
+            d=self.d,
+            epsilon=self.epsilon,
             mechanism=mechanism,
-            b_hat=self.pipeline.b_hat,
+            b_hat=self.b_hat,
         )
+        self._runner = _PipelineShardRunner(self.mechanism)
 
     # ------------------------------------------------------------ public API
-    @property
-    def domain(self) -> SpatialDomain:
-        return self.pipeline.domain
-
-    @property
-    def grid(self):
-        return self.pipeline.grid
-
-    @property
-    def b_hat(self) -> int:
-        return self.pipeline.b_hat
-
     def run(self, points: np.ndarray, seed=None) -> PipelineResult:
-        """Parallel Algorithm 1 over one point set.
+        """Execute Algorithm 1 on a raw point set and return the distribution map.
 
-        The result is bit-identical to ``DAMPipeline.run(points, seed=seed)``
-        regardless of ``workers`` and ``shard_size``.
+        The result is bit-identical to ``self.mechanism.run`` on the in-domain
+        points with the same seed, regardless of ``workers`` and ``shard_size``.
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-        inside = self.domain.contains(pts)
-        dropped = int((~inside).sum())
-        pts = pts[inside]
-        n_shards = max(1, -(-pts.shape[0] // self.shard_size))
-        shards = np.array_split(pts, n_shards)
-        return self._execute(shards, dropped, seed)
+        return self.run_stream([points], seed=seed)
 
     def run_stream(self, chunks: Iterable[np.ndarray], seed=None) -> PipelineResult:
-        """Parallel Algorithm 1 over an iterable of point-array shards.
+        """Execute Algorithm 1 over an iterable of point-array chunks.
 
-        Each chunk becomes one shard.  The result is bit-identical to
-        ``DAMPipeline.run_stream(chunks, seed=seed)``; note that
-        unlike the serial version the chunks are materialised into a shard list
-        before dispatch, so peak memory is the total filtered point count.
+        With one worker each chunk is privatized and folded before the next is
+        pulled, so memory stays bounded by one chunk plus two histograms however
+        many users stream through; a pool holds every filtered chunk until it
+        dispatches.  The result is bit-identical to :meth:`run` on the
+        concatenated chunks.
         """
-        shards: list[np.ndarray] = []
-        dropped = 0
-        for chunk in chunks:
-            pts = np.asarray(chunk, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-            inside = self.domain.contains(pts)
-            dropped += int((~inside).sum())
-            shards.append(pts[inside])
-        return self._execute(shards, dropped, seed)
+        total, dropped, n_shards = self._fold(chunks, seed)
+        if total.n_users == 0:
+            raise ValueError("no points inside the domain were ingested")
+        true_counts = total.true_cell_counts
+        return PipelineResult(
+            estimate=self.mechanism.estimate(total.noisy_counts, n_users=total.n_users),
+            true_distribution=GridDistribution.from_flat(
+                self.grid, true_counts / true_counts.sum()
+            ),
+            noisy_counts=total.noisy_counts,
+            n_users=total.n_users,
+            b_hat=self.b_hat,
+            mechanism=self.mechanism.name,
+            info={
+                "epsilon": self.epsilon,
+                "d": self.d,
+                "dropped_points": dropped,
+                "streamed": True,
+                "parallel": True,
+                "workers": min(self.workers, n_shards),
+                "n_shards": n_shards,
+            },
+        )
+
+    def aggregate(self, points: np.ndarray, seed=None) -> ShardAggregate:
+        """Privatize one point set and return only the folded counts.
+
+        Same path as :meth:`run` (and the same bit-identical RNG guarantees), but
+        the result is the additive :class:`~repro.core.estimator.ShardAggregate`
+        *before* any estimation solve.  This is the ingestion primitive of the
+        streaming service (:class:`repro.streaming.StreamingEstimationService`),
+        which folds each epoch's aggregate into its window and runs its own
+        warm-started solve — solving here per epoch would throw the warm start away.
+        """
+        return self._fold([points], seed)[0]
 
     # -------------------------------------------------------------- plumbing
-    def _shard_tasks(self, shards: Sequence[np.ndarray], seed) -> list[_ShardTask]:
+    def _fold(self, chunks: Iterable[np.ndarray], seed) -> tuple[ShardAggregate, int, int]:
+        """Filter, shard, privatize and fold ``chunks``: the path of every entry point.
+
+        Returns the folded aggregate, the number of points dropped outside the
+        domain and the number of shards.
+        """
         rng = ensure_rng(seed)
         if not supports_stream_splitting(rng):
             raise ValueError(
@@ -248,71 +321,60 @@ class ParallelPipeline:
                 "advance(); pass a PCG64-backed seed"
             )
         base_state = generator_state(rng)
-        sizes = [int(shard.shape[0]) for shard in shards]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        total = ShardAggregate(
+            noisy_counts=np.zeros(self.mechanism.output_domain_size()),
+            true_cell_counts=np.zeros(self.grid.n_cells),
+            n_users=0,
+        )
+        pending: list[_ShardTask] = []
+        dropped = offset = n_shards = 0
+        for chunk in chunks:
+            pts = np.asarray(chunk, dtype=float)
+            if pts.ndim != 2 or pts.shape[1] != 2:
+                raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+            inside = self.domain.contains(pts)
+            dropped += int((~inside).sum())
+            pts = pts[inside]
+            for shard in np.array_split(pts, max(1, -(-pts.shape[0] // self.shard_size))):
+                task = _ShardTask(points=shard, base_state=base_state, offset=offset)
+                offset += shard.shape[0]
+                n_shards += 1
+                if self.workers == 1:
+                    total = total.merged(self._runner.run_shard(task))
+                else:
+                    pending.append(task)
+        for aggregate in run_sharded(
+            self._spec, pending, self.workers, inline_context=self._runner
+        ):
+            total = total.merged(aggregate)
         # Leave the caller's generator exactly where a serial pass (one double per
         # user) would have left it, so downstream draws match the serial schedule.
-        rng.bit_generator.advance(int(offsets[-1]))
-        return [
-            _ShardTask(points=shard, base_state=base_state, offset=int(offset))
-            for shard, offset in zip(shards, offsets[:-1])
-        ]
+        rng.bit_generator.advance(offset)
+        return total, dropped, n_shards
 
-    def aggregate(self, points: np.ndarray, seed=None):
-        """Privatize one point set on the pool and return only the merged counts.
 
-        Same sharded fan-out as :meth:`run` (and the same bit-identical RNG
-        guarantees), but the result is the additive
-        :class:`~repro.core.estimator.ShardAggregate` *before* any estimation solve.
-        This is the ingestion primitive of the streaming service
-        (:class:`repro.streaming.StreamingEstimationService`), which folds each
-        epoch's aggregate into its window and runs its own warm-started solve —
-        solving here per epoch would throw the warm start away.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-        pts = pts[self.domain.contains(pts)]
-        n_shards = max(1, -(-pts.shape[0] // self.shard_size))
-        shards = np.array_split(pts, n_shards)
-        return self._merge_shards(shards, seed).state()
+def estimate_spatial_distribution(
+    points: np.ndarray,
+    epsilon: float,
+    *,
+    d: int = 15,
+    domain: SpatialDomain | None = None,
+    mechanism: MechanismName = "dam",
+    seed=None,
+) -> PipelineResult:
+    """One-call private spatial distribution estimation.
 
-    def _merge_shards(self, shards: list[np.ndarray], seed):
-        """Fan the shards out, merge the partial states into one fresh aggregator."""
-        tasks = self._shard_tasks(shards, seed)
-        aggregates = run_sharded(
-            self._spec,
-            tasks,
-            min(self.workers, len(tasks)),
-            inline_context=_PipelineShardRunner(self.pipeline),
-        )
-        aggregator = self.pipeline.mechanism.streaming_aggregator()
-        for aggregate in aggregates:
-            aggregator.merge(aggregate)
-        return aggregator
-
-    def _execute(self, shards: list[np.ndarray], dropped: int, seed) -> PipelineResult:
-        if sum(shard.shape[0] for shard in shards) == 0:
-            raise ValueError("no points inside the domain were ingested")
-        n_workers = min(self.workers, len(shards))
-        aggregator = self._merge_shards(shards, seed)
-        report = aggregator.finalize()
-        return PipelineResult(
-            estimate=report.estimate,
-            true_distribution=GridDistribution.from_flat(
-                self.grid, aggregator.true_cell_counts / aggregator.true_cell_counts.sum()
-            ),
-            noisy_counts=report.noisy_counts,
-            n_users=report.n_users,
-            b_hat=self.b_hat,
-            mechanism=self.pipeline.mechanism.name,
-            info={
-                "epsilon": self.pipeline.epsilon,
-                "d": self.pipeline.d,
-                "dropped_points": dropped,
-                "streamed": True,
-                "parallel": True,
-                "workers": n_workers if shards else 0,
-                "n_shards": len(shards),
-            },
-        )
+    This is the quickstart entry point: give it raw ``(n, 2)`` locations and a privacy
+    budget and it returns the privately estimated density map together with the true
+    empirical map for comparison.  The analysis domain defaults to the bounding box of
+    the data (note that deriving the box from the data itself is a convenience for
+    experimentation — a production deployment should fix the domain a priori so that it
+    does not leak information).  It runs a one-worker :class:`ParallelPipeline`, so
+    ``seed`` must be PCG64-backed like everywhere else on that path.
+    """
+    pts = np.asarray(points, dtype=float)
+    if domain is None:
+        # Relative pad: an absolute epsilon underflows for projected coordinates
+        # (~1e6 m), leaving boundary points on the box edge.
+        domain = SpatialDomain.from_points(pts, relative_pad=1e-9)
+    return ParallelPipeline(domain, d, epsilon, mechanism=mechanism).run(pts, seed=seed)

@@ -731,9 +731,21 @@ def sweep_parameter(
     """Run a full sweep: every (dataset, mechanism, parameter value) combination.
 
     ``parameter_name`` is ``"d"``, ``"epsilon"`` or ``"b_scale"``; the non-swept
-    parameters take the config defaults.  ``metric`` selects the per-cell error
-    (``"w2"``, ``"range-mae"``, ``"trajectory-w2"`` or ``"stream-mae"``).  This is
-    the workhorse every figure bench calls.
+    parameters take the config defaults.  ``metric`` selects the per-cell error:
+
+    * ``"w2"`` — ``W2`` of the estimate against the part's true histogram (the
+      paper's figures);
+    * ``"range-mae"`` — MAE of a random rectangular workload answered through the
+      summed-area-table :class:`~repro.queries.engine.QueryEngine`, scored against
+      the raw points (the serving-accuracy panel);
+    * ``"trajectory-w2"`` — point-density ``W2`` of a trajectory mechanism
+      (``LDPTrace`` / ``PivotTrace`` / ``DAM`` through the adapter) on an
+      Appendix-D workload generated from the part (the Figure-14 panel at scale);
+    * ``"stream-mae"`` — epoch-averaged per-cell MAE of the sliding-window
+      :class:`~repro.streaming.StreamingEstimationService` over a drifting stream
+      built from the part; the mechanism must carry a transition model.
+
+    This is the workhorse every figure bench calls.
 
     Cells are independent, so with ``workers > 1`` (default: ``config.workers``)
     they are fanned out to a process pool, and with a cache (default: a
@@ -784,102 +796,6 @@ def sweep_parameter(
                 cache.put(key, _point_to_payload(point))
 
     return SweepResult(name=sweep_name, points=list(points))
-
-
-def sweep_range_query_error(
-    sweep_name: str,
-    parameter_name: str,
-    parameter_values: tuple,
-    mechanisms: tuple[str, ...],
-    config: ExperimentConfig,
-    *,
-    datasets: tuple[str, ...] | None = None,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-) -> SweepResult:
-    """Sweep the range-query MAE instead of ``W2`` (the serving-accuracy panel).
-
-    Each cell runs the mechanism, serves a random rectangular workload through the
-    summed-area-table :class:`~repro.queries.engine.QueryEngine` and scores the
-    answers against the raw points — the measurement behind the "DAM + range query"
-    combination the paper proposes.  Pool fan-out and the content-addressed cache
-    work exactly as in :func:`sweep_parameter`.
-    """
-    return sweep_parameter(
-        sweep_name,
-        parameter_name,
-        parameter_values,
-        mechanisms,
-        config,
-        datasets=datasets,
-        workers=workers,
-        cache=cache,
-        metric="range-mae",
-    )
-
-
-def sweep_stream_error(
-    sweep_name: str,
-    parameter_name: str,
-    parameter_values: tuple,
-    mechanisms: tuple[str, ...],
-    config: ExperimentConfig,
-    *,
-    datasets: tuple[str, ...] | None = None,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-) -> SweepResult:
-    """Sweep the drift-tracking error of the streaming service (error-vs-epoch).
-
-    Each cell turns the dataset part into a drifting report stream and runs the
-    sliding-window :class:`~repro.streaming.StreamingEstimationService`, scoring
-    the epoch-averaged per-cell MAE of the windowed estimates against the windows'
-    true distributions.  Pool fan-out and the content-addressed cache work exactly
-    as in :func:`sweep_parameter`.  Mechanisms must carry a transition model
-    (DAM / DAM-NS / HUEM / ...).
-    """
-    return sweep_parameter(
-        sweep_name,
-        parameter_name,
-        parameter_values,
-        mechanisms,
-        config,
-        datasets=datasets,
-        workers=workers,
-        cache=cache,
-        metric="stream-mae",
-    )
-
-
-def sweep_trajectory_error(
-    sweep_name: str,
-    parameter_name: str,
-    parameter_values: tuple,
-    mechanisms: tuple[str, ...],
-    config: ExperimentConfig,
-    *,
-    datasets: tuple[str, ...] | None = None,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-) -> SweepResult:
-    """Sweep the trajectory point-density ``W2`` (the Figure-14 panel at scale).
-
-    Each cell turns the dataset part into an Appendix-D trajectory workload and runs
-    a trajectory mechanism (``LDPTrace`` / ``PivotTrace`` / ``DAM`` through the
-    adapter) instead of a point mechanism.  Pool fan-out and the content-addressed
-    cache work exactly as in :func:`sweep_parameter`.
-    """
-    return sweep_parameter(
-        sweep_name,
-        parameter_name,
-        parameter_values,
-        mechanisms,
-        config,
-        datasets=datasets,
-        workers=workers,
-        cache=cache,
-        metric="trajectory-w2",
-    )
 
 
 def _resolve_parameters(

@@ -11,17 +11,15 @@ aggregate that satisfies the laws below slides for free.
 The protocol
 ------------
 
-An aggregate is a value object carrying one population's counts.  Two flavours
-conform (the ``agg-protocol`` lint rule checks the exact signatures of both):
-
-* **mutable aggregators** — :class:`repro.core.estimator.StreamingAggregator`:
-  ``merge(self, other)`` folds counts in, ``subtract(self, other)`` removes them
-  again, ``state(self)`` snapshots the partial counts as a plain value object;
-* **functional aggregates** — :class:`repro.core.estimator.ShardAggregate` and
-  :class:`repro.trajectory.engine.TrajectoryShardAggregate`: frozen dataclasses
-  whose ``merged(self, other)`` / ``subtracted(self, other)`` return *new*
-  aggregates, plus ``scaled(self, factor)`` / ``clamped(self)`` for the decayed
-  window variant.
+An aggregate is a value object carrying one population's counts:
+:class:`repro.core.estimator.ShardAggregate` and
+:class:`repro.trajectory.engine.TrajectoryShardAggregate` are frozen dataclasses
+whose ``merged(self, other)`` / ``subtracted(self, other)`` return *new*
+aggregates, plus ``scaled(self, factor)`` / ``clamped(self)`` for the decayed
+window variant (the ``agg-protocol`` lint rule checks the exact signatures).
+Ingestion builds them: :class:`repro.core.estimator.StreamingAggregator` privatizes
+reports into running histograms and ``state()`` snapshots them as a
+``ShardAggregate``.
 
 The laws (property-tested in ``tests/streaming/``):
 

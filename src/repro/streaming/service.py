@@ -35,8 +35,7 @@ import numpy as np
 
 from repro.core.domain import GridDistribution, GridSpec, SpatialDomain
 from repro.core.estimator import TransitionMatrixMechanism
-from repro.core.parallel import DEFAULT_SHARD_SIZE, ParallelPipeline
-from repro.core.pipeline import MechanismName
+from repro.core.parallel import DEFAULT_SHARD_SIZE, MechanismName, ParallelPipeline
 from repro.core.postprocess import (
     EM_ITERATIONS,
     EMResult,
@@ -150,7 +149,7 @@ class StreamingEstimationService:
             )
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if pipeline is not None and pipeline.pipeline.mechanism is not mechanism:
+        if pipeline is not None and pipeline.mechanism is not mechanism:
             raise ValueError("pipeline must wrap the same mechanism instance")
         if snapshot_writer is not None and (
             snapshot_writer.grid.d != mechanism.grid.d
@@ -206,7 +205,7 @@ class StreamingEstimationService:
             workers=workers,
             shard_size=shard_size,
         )
-        return cls(pipeline.pipeline.mechanism, pipeline=pipeline, **kwargs)
+        return cls(pipeline.mechanism, pipeline=pipeline, **kwargs)
 
     # --------------------------------------------------------------- the loop
     @property

@@ -16,8 +16,8 @@ total of the last ``window_epochs`` epochs by pure count algebra:
 * the epoch that falls off the back is **subtracted**
   (``ShardAggregate.subtracted``) — an exact inverse, since histogram counts are
   integer-valued floats far below 2**53 and therefore add and subtract exactly
-  (the same algebra ``StreamingAggregator.merge``/``subtract`` expose for
-  standalone aggregators);
+  (the same algebra :class:`~repro.core.parallel.ParallelPipeline` folds its shards
+  with);
 * with an optional exponential ``decay`` in ``(0, 1)``, every slide scales the
   running total by the decay before the new epoch lands, so older epochs fade
   smoothly instead of dropping off a cliff (the expired epoch is removed at its

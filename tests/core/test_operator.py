@@ -279,6 +279,8 @@ class TestStreamingAggregator:
         grid = GridSpec.unit(4)
         mech = DiscreteDAM(grid, 3.0, b_hat=1)
         points = np.random.default_rng(5).random((2000, 2))
-        streamed = mech.run_stream(np.array_split(points, 4), seed=9)
+        aggregator = mech.streaming_aggregator(seed=9)
+        for chunk in np.array_split(points, 4):
+            aggregator.add_points(chunk)
         batch = mech.run(points, seed=9)
-        np.testing.assert_array_equal(streamed.noisy_counts, batch.noisy_counts)
+        np.testing.assert_array_equal(aggregator.finalize().noisy_counts, batch.noisy_counts)

@@ -1,12 +1,16 @@
 """Tests for repro.core.parallel — the sharded execution engine.
 
-The headline property is *bit*-equality: a parallel run must not merely be
-statistically equivalent to the serial pipeline, it must produce the identical
-floating-point estimate for every worker count and shard size.  Everything here
-asserts exact array equality, never approximate closeness.
+The headline property is *bit*-equality: a sharded run must not merely be
+statistically equivalent to one serial pass (``pipeline.mechanism.run`` over the
+in-domain points), it must produce the identical floating-point estimate for every
+worker count and shard size.  Everything here asserts exact array equality, never
+approximate closeness.
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +21,6 @@ from repro.core.dam import DiscreteDAM
 from repro.core.domain import GridSpec, SpatialDomain
 from repro.core.estimator import ShardAggregate
 from repro.core.parallel import ParallelPipeline, run_sharded
-from repro.core.pipeline import DAMPipeline
 from repro.utils.rng import (
     generator_from_state,
     generator_state,
@@ -37,6 +40,18 @@ def points() -> np.ndarray:
     cluster = rng.normal([0.4, 0.55], 0.1, size=(6000, 2))
     background = rng.random((3000, 2))
     return np.clip(np.vstack([cluster, background]), 0.0, 1.0)
+
+
+def _serial(pipeline: ParallelPipeline, points: np.ndarray, seed):
+    """The oracle: one ``mechanism.run`` pass over the in-domain points."""
+    inside = points[pipeline.domain.contains(points)]
+    report = pipeline.mechanism.run(inside, seed=seed)
+    return SimpleNamespace(
+        estimate=report.estimate,
+        noisy_counts=report.noisy_counts,
+        true_distribution=pipeline.grid.distribution(inside),
+        n_users=report.n_users,
+    )
 
 
 def _identical(a, b) -> bool:
@@ -81,6 +96,8 @@ class TestRngHelpers:
 
 
 class TestMerge:
+    """Shard states fold with ``ShardAggregate.merged``, the one count algebra."""
+
     def _aggregators(self, domain):
         grid = GridSpec(domain, 4)
         mechanism = DiscreteDAM(grid, 2.0)
@@ -104,11 +121,11 @@ class TestMerge:
         left.add_points(shard_a)
         right = mechanism.streaming_aggregator(seed=generator_from_state(state_after_a))
         right.add_points(shard_b)
-        left.merge(right)
+        merged = left.state().merged(right.state())
 
-        assert np.array_equal(left.noisy_counts, sequential.noisy_counts)
-        assert np.array_equal(left.true_cell_counts, sequential.true_cell_counts)
-        assert left.n_users == sequential.n_users
+        assert np.array_equal(merged.noisy_counts, sequential.noisy_counts)
+        assert np.array_equal(merged.true_cell_counts, sequential.true_cell_counts)
+        assert merged.n_users == sequential.n_users
 
     def test_merge_accepts_shard_aggregate(self, domain, points):
         mechanism, a, b = self._aggregators(domain)
@@ -116,8 +133,11 @@ class TestMerge:
         b.add_points(points[100:300])
         snapshot = b.state()
         assert isinstance(snapshot, ShardAggregate)
-        a.merge(snapshot)
-        assert a.n_users == 300
+        before = a.state()
+        merged = before.merged(snapshot)
+        assert merged.n_users == 300
+        # Functional: both operands keep their own counts.
+        assert before.n_users == 100 and snapshot.n_users == 200
 
     def test_state_is_a_snapshot(self, domain, points):
         _, a, _ = self._aggregators(domain)
@@ -133,33 +153,35 @@ class TestMerge:
         b = DiscreteDAM(grid, 2.0, b_hat=2).streaming_aggregator()
         b.add_points(points[:10])
         with pytest.raises(ValueError, match="output domains"):
-            a.merge(b)
+            a.state().merged(b.state())
 
     def test_merge_rejects_mismatched_grid(self, domain, points):
         a = DiscreteDAM(GridSpec(domain, 4), 2.0, b_hat=1).streaming_aggregator()
         b = DiscreteDAM(GridSpec(domain, 5), 2.0, b_hat=1).streaming_aggregator()
         with pytest.raises(ValueError):
-            a.merge(b)
+            a.state().merged(b.state())
 
     def test_merge_rejects_wrong_type(self, domain):
         _, a, _ = self._aggregators(domain)
         with pytest.raises(TypeError):
-            a.merge({"noisy_counts": [1.0]})
+            a.state().merged({"noisy_counts": [1.0]})
 
 
 class TestStreamModeBitEquality:
     def test_matches_batch_run(self, domain, points):
-        serial = DAMPipeline(domain, 8, 2.0).run(points, seed=7)
-        parallel = ParallelPipeline(domain, 8, 2.0, workers=2, shard_size=2500).run(points, seed=7)
-        assert _identical(serial, parallel)
+        pipeline = ParallelPipeline(domain, 8, 2.0, workers=2, shard_size=2500)
+        parallel = pipeline.run(points, seed=7)
+        assert _identical(_serial(pipeline, points, seed=7), parallel)
         assert parallel.info["parallel"] is True
         assert parallel.info["n_shards"] == 4
 
     def test_matches_run_stream(self, domain, points):
         chunks = np.array_split(points, 5)
-        serial = DAMPipeline(domain, 8, 2.0).run_stream(chunks, seed=11)
-        parallel = ParallelPipeline(domain, 8, 2.0, workers=2).run_stream(chunks, seed=11)
-        assert _identical(serial, parallel)
+        pipeline = ParallelPipeline(domain, 8, 2.0, workers=2)
+        parallel = pipeline.run_stream(chunks, seed=11)
+        assert _identical(_serial(pipeline, points, seed=11), parallel)
+        inline = ParallelPipeline(domain, 8, 2.0).run_stream(iter(chunks), seed=11)
+        assert _identical(inline, parallel)
 
     def test_invariant_to_shard_size(self, domain, points):
         fine = ParallelPipeline(domain, 6, 2.0, workers=1, shard_size=137).run(points, seed=3)
@@ -171,26 +193,25 @@ class TestStreamModeBitEquality:
         "mechanism", ["dam", "dam-ns", "huem"], ids=lambda name: f"operator-{name}"
     )
     def test_all_mechanisms_and_backends(self, domain, points, mechanism):
-        serial = DAMPipeline(domain, 6, 2.0, mechanism=mechanism).run(points[:3000], seed=5)
-        parallel = ParallelPipeline(
-            domain, 6, 2.0, mechanism=mechanism, workers=1, shard_size=800
-        ).run(points[:3000], seed=5)
-        assert _identical(serial, parallel)
+        pipeline = ParallelPipeline(domain, 6, 2.0, mechanism=mechanism, shard_size=800)
+        parallel = pipeline.run(points[:3000], seed=5)
+        assert _identical(_serial(pipeline, points[:3000], seed=5), parallel)
 
     def test_leaves_caller_generator_in_serial_state(self, domain, points):
         serial_rng = np.random.default_rng(21)
         parallel_rng = np.random.default_rng(21)
-        DAMPipeline(domain, 6, 2.0).run(points, seed=serial_rng)
-        ParallelPipeline(domain, 6, 2.0, workers=1, shard_size=1000).run(points, seed=parallel_rng)
+        pipeline = ParallelPipeline(domain, 6, 2.0, workers=1, shard_size=1000)
+        _serial(pipeline, points, seed=serial_rng)
+        pipeline.run(points, seed=parallel_rng)
         assert np.array_equal(serial_rng.random(8), parallel_rng.random(8))
 
     def test_drops_points_outside_domain_like_serial(self, domain, points):
         shifted = points.copy()
         shifted[::10] += 5.0  # push every tenth point outside the unit square
-        serial = DAMPipeline(domain, 6, 2.0).run(shifted, seed=2)
-        parallel = ParallelPipeline(domain, 6, 2.0, workers=1, shard_size=999).run(shifted, seed=2)
-        assert _identical(serial, parallel)
-        assert parallel.info["dropped_points"] == serial.info["dropped_points"]
+        pipeline = ParallelPipeline(domain, 6, 2.0, workers=1, shard_size=999)
+        parallel = pipeline.run(shifted, seed=2)
+        assert _identical(_serial(pipeline, shifted, seed=2), parallel)
+        assert parallel.info["dropped_points"] == int((~domain.contains(shifted)).sum())
 
     def test_mt19937_seed_rejected(self, domain, points):
         pipeline = ParallelPipeline(domain, 6, 2.0, workers=1)
@@ -208,15 +229,9 @@ class TestStreamModeBitEquality:
     def test_property_bit_equal_to_serial(self, n_points, shard_size, seed):
         domain = SpatialDomain.unit()
         pts = np.random.default_rng(seed).random((n_points, 2))
-        serial = DAMPipeline(domain, 5, 2.0).run(pts, seed=seed)
-        parallel = ParallelPipeline(
-            domain,
-            5,
-            2.0,
-            workers=1,
-            shard_size=shard_size,
-        ).run(pts, seed=seed)
-        assert _identical(serial, parallel)
+        pipeline = ParallelPipeline(domain, 5, 2.0, workers=1, shard_size=shard_size)
+        parallel = pipeline.run(pts, seed=seed)
+        assert _identical(_serial(pipeline, pts, seed=seed), parallel)
 
 
 class TestValidation:
@@ -237,7 +252,38 @@ class TestValidation:
             ParallelPipeline(domain, 5, 2.0, workers=1).run(np.full((10, 2), 7.0), seed=0)
 
     def test_default_workers_positive(self, domain):
-        assert ParallelPipeline(domain, 5, 2.0).workers >= 1
+        assert ParallelPipeline(domain, 5, 2.0).workers == 1
+
+
+class TestStreamingMemory:
+    """A one-worker stream folds each chunk before pulling the next."""
+
+    CHUNK = 20_000
+    N_CHUNKS = 40
+
+    def _chunks(self):
+        rng = np.random.default_rng(3)
+        for _ in range(self.N_CHUNKS):
+            yield rng.random((self.CHUNK, 2))
+
+    def test_one_worker_stream_peaks_under_ten_chunks(self, domain):
+        pipeline = ParallelPipeline(domain, 8, 2.0)
+        pipeline.run(np.random.default_rng(0).random((100, 2)), seed=0)  # warm lazy caches
+        chunk_bytes = self.CHUNK * 2 * np.dtype(float).itemsize
+        seed = np.random.default_rng(21)
+        tracemalloc.start()
+        try:
+            streamed = pipeline.run_stream(self._chunks(), seed=seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert streamed.n_users == self.CHUNK * self.N_CHUNKS
+        assert peak < 10 * chunk_bytes, f"peak {peak / chunk_bytes:.1f} chunks' bytes"
+
+        serial_seed = np.random.default_rng(21)
+        serial = _serial(pipeline, np.vstack(list(self._chunks())), seed=serial_seed)
+        assert _identical(serial, streamed)
+        assert np.array_equal(seed.random(8), serial_seed.random(8))
 
 
 class TestMultiprocessEquality:

@@ -19,9 +19,6 @@ from repro.experiments.runner import (
     evaluate_stream_on_part,
     evaluate_trajectories_on_part,
     sweep_parameter,
-    sweep_range_query_error,
-    sweep_stream_error,
-    sweep_trajectory_error,
 )
 from repro.mechanisms.sem_geo_i import SEMGeoI
 from repro.metrics.local_privacy import local_privacy_of_mechanism
@@ -156,13 +153,14 @@ class TestRangeQuerySweep:
 
     def test_sweep_structure_and_metric_tag(self):
         config = smoke_config()
-        result = sweep_range_query_error(
+        result = sweep_parameter(
             "rq-sweep",
             "epsilon",
             (1.4, 3.5),
             ("DAM", "MDSW"),
             config,
             datasets=("SZipf",),
+            metric="range-mae",
         )
         assert len(result.points) == 4
         for point in result.points:
@@ -173,8 +171,9 @@ class TestRangeQuerySweep:
     def test_range_sweep_deterministic_and_distinct_from_w2(self):
         config = smoke_config()
         kwargs = dict(datasets=("SZipf",),)
-        first = sweep_range_query_error("rq", "epsilon", (3.5,), ("DAM",), config, **kwargs)
-        second = sweep_range_query_error("rq", "epsilon", (3.5,), ("DAM",), config, **kwargs)
+        rq = dict(kwargs, metric="range-mae")
+        first = sweep_parameter("rq", "epsilon", (3.5,), ("DAM",), config, **rq)
+        second = sweep_parameter("rq", "epsilon", (3.5,), ("DAM",), config, **rq)
         w2 = sweep_parameter("w2", "epsilon", (3.5,), ("DAM",), config, **kwargs)
         assert first.points[0].w2_mean == second.points[0].w2_mean
         assert first.points[0].w2_mean != w2.points[0].w2_mean
@@ -200,13 +199,14 @@ class TestTrajectorySweep:
 
     def test_sweep_structure_and_metric_tag(self):
         config = smoke_config()
-        result = sweep_trajectory_error(
+        result = sweep_parameter(
             "traj-sweep",
             "epsilon",
             (1.0, 2.0),
             ("LDPTrace", "DAM"),
             config,
             datasets=("SZipf",),
+            metric="trajectory-w2",
         )
         assert len(result.points) == 4
         for point in result.points:
@@ -216,9 +216,9 @@ class TestTrajectorySweep:
 
     def test_trajectory_sweep_deterministic_and_cached(self, tmp_path):
         config = smoke_config().with_overrides(cache_dir=str(tmp_path))
-        kwargs = dict(datasets=("SZipf",),)
-        first = sweep_trajectory_error("traj", "d", (4,), ("PivotTrace",), config, **kwargs)
-        second = sweep_trajectory_error("traj", "d", (4,), ("PivotTrace",), config, **kwargs)
+        kwargs = dict(datasets=("SZipf",), metric="trajectory-w2")
+        first = sweep_parameter("traj", "d", (4,), ("PivotTrace",), config, **kwargs)
+        second = sweep_parameter("traj", "d", (4,), ("PivotTrace",), config, **kwargs)
         assert first.points[0].w2_mean == second.points[0].w2_mean
 
 
@@ -262,13 +262,14 @@ class TestStreamSweep:
 
     def test_sweep_structure_and_metric_tag(self):
         config = smoke_config()
-        result = sweep_stream_error(
+        result = sweep_parameter(
             "stream-sweep",
             "epsilon",
             (2.0, 3.5),
             ("DAM",),
             config,
             datasets=("SZipf",),
+            metric="stream-mae",
         )
         assert len(result.points) == 2
         for point in result.points:
@@ -277,7 +278,7 @@ class TestStreamSweep:
 
     def test_stream_sweep_cached(self, tmp_path):
         config = smoke_config().with_overrides(cache_dir=str(tmp_path))
-        kwargs = dict(datasets=("SZipf",),)
-        first = sweep_stream_error("stream", "d", (4,), ("DAM",), config, **kwargs)
-        second = sweep_stream_error("stream", "d", (4,), ("DAM",), config, **kwargs)
+        kwargs = dict(datasets=("SZipf",), metric="stream-mae")
+        first = sweep_parameter("stream", "d", (4,), ("DAM",), config, **kwargs)
+        second = sweep_parameter("stream", "d", (4,), ("DAM",), config, **kwargs)
         assert first.points[0].w2_mean == second.points[0].w2_mean

@@ -36,6 +36,61 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--d", "0"],
+            ["estimate", "--epsilon", "0"],
+            ["estimate", "--epsilon", "150"],
+            ["estimate", "--scale", "0"],
+            ["estimate", "--scale", "1.5"],
+            ["estimate", "--chunk-size", "0"],
+            ["estimate", "--workers", "0"],
+            ["estimate", "--workers", "two"],
+            ["figure", "fig8", "--workers", "0"],
+            ["query", "--d", "0"],
+            ["query", "--epsilon", "-1"],
+            ["query", "--scale", "0"],
+            ["query", "--n-queries", "0"],
+            ["query", "--top-k", "-1"],
+            ["trajectory", "--d", "0"],
+            ["trajectory", "--routing-d", "0"],
+            ["trajectory", "--n-trajectories", "0"],
+            ["trajectory", "--max-length", "0"],
+            ["trajectory", "--n-output", "-1"],
+            ["trajectory", "--workers", "0"],
+            ["trajectory", "--top-k", "-1"],
+            ["stream", "--d", "0"],
+            ["stream", "--epsilon", "0"],
+            ["stream", "--epochs", "0"],
+            ["stream", "--users-per-epoch", "0"],
+            ["stream", "--trajectories-per-epoch", "0"],
+            ["stream", "--max-length", "0"],
+            ["stream", "--n-synthetic", "0"],
+            ["stream", "--window", "0"],
+            ["stream", "--decay", "0"],
+            ["stream", "--decay", "1.5"],
+            ["stream", "--workers", "0"],
+            ["serve", "--d", "0"],
+            ["serve", "--epsilon", "-1"],
+            ["serve", "--epochs", "0"],
+            ["serve", "--users-per-epoch", "0"],
+            ["serve", "--window", "0"],
+            ["serve", "--decay", "0"],
+            ["serve", "--serve-workers", "0"],
+            ["serve", "--queries-per-epoch", "0"],
+            ["serve", "--batch-rows", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"error: argument {argv[-2]}: expected" in err
+        assert "Traceback" not in err
+
 
 class TestEstimateCommand:
     def test_estimate_from_csv(self, csv_points, capsys):
