@@ -18,7 +18,8 @@ def _series_text(results) -> str:
         lines.append(f"[{sweep_name}]")
         mechanisms = sorted({p.mechanism for p in sweep.points})
         for mechanism in mechanisms:
-            series = ", ".join(f"{x:g}: {y:.4f}" for x, y in sweep.series(mechanism))
+            pairs = sweep.series("NYC-trajectories", mechanism)
+            series = ", ".join(f"{x:g}: {y:.4f}" for x, y in pairs)
             lines.append(f"  {mechanism:11s} {series}")
     return "\n".join(lines)
 
@@ -33,7 +34,7 @@ def test_figure14_trajectory(benchmark, bench_trajectory_config, record_result):
     eps_sweep = results["epsilon"]
 
     def mean_of(sweep, mechanism):
-        series = sweep.series(mechanism)
+        series = sweep.series("NYC-trajectories", mechanism)
         return sum(y for _, y in series) / len(series)
 
     record_result(
@@ -47,7 +48,7 @@ def test_figure14_trajectory(benchmark, bench_trajectory_config, record_result):
 
     # W2 grows with d for every mechanism (compare the endpoints; d=1 is degenerate).
     for mechanism in ("LDPTrace", "PivotTrace", "DAM"):
-        series = dict(d_sweep.series(mechanism))
+        series = dict(d_sweep.series("NYC-trajectories", mechanism))
         assert series[20.0] >= series[5.0] * 0.7
 
     # DAM beats (or ties) both trajectory mechanisms on average over the eps sweep.

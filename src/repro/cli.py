@@ -147,6 +147,8 @@ def _argument_type(requirement: str, parse, accept):
 _positive_int = _argument_type("a positive integer", int, lambda value: value >= 1)
 _non_negative_int = _argument_type("a non-negative integer", int, lambda value: value >= 0)
 _fraction = _argument_type("a fraction in (0, 1]", float, lambda value: 0.0 < value <= 1.0)
+#: The trajectory generator's shortest trajectory has two points.
+_trajectory_length = _argument_type("an integer >= 2", int, lambda value: value >= 2)
 
 
 def _accepted_epsilon(value: float) -> bool:
@@ -259,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--min-fraction",
-        type=float,
+        type=_fraction,
         default=0.05,
         help="smallest query side as a fraction of the domain",
     )
     query.add_argument(
         "--max-fraction",
-        type=float,
+        type=_fraction,
         default=0.5,
         help="largest query side as a fraction of the domain",
     )
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trajectory.add_argument(
         "--max-length",
-        type=_positive_int,
+        type=_trajectory_length,
         default=40,
         help="maximum trajectory length (default 40)",
     )
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--max-length",
-        type=_positive_int,
+        type=_trajectory_length,
         default=30,
         help="maximum trajectory length in the generated stream "
              "(trajectory workload; default 30)",
@@ -527,13 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--min-fraction",
-        type=float,
+        type=_fraction,
         default=0.05,
         help="smallest query side as a fraction of the domain",
     )
     serve.add_argument(
         "--max-fraction",
-        type=float,
+        type=_fraction,
         default=0.5,
         help="largest query side as a fraction of the domain",
     )
@@ -1146,7 +1148,13 @@ def _run_lint(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point used by ``python -m repro`` and the tests."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("query", "serve") and args.min_fraction > args.max_fraction:
+        parser.error(
+            f"argument --min-fraction: expected at most --max-fraction "
+            f"({args.max_fraction:g}), got {args.min_fraction:g}"
+        )
     if args.command == "estimate":
         return _run_estimate(args)
     if args.command == "figure":

@@ -48,6 +48,10 @@ TRAJECTORY_MECHANISMS: tuple[str, ...] = ("LDPTrace", "PivotTrace", "DAM")
 class ExperimentConfig:
     """Everything an experiment sweep needs to know besides the swept parameter.
 
+    Two parts of the protocol are fixed, not configured: the exact-W2 solver limit
+    is :data:`~repro.metrics.wasserstein.EXACT_CELL_LIMIT` (Sinkhorn above it), and
+    SEM-Geo-I always runs at the ε′ calibrated to DAM's Local Privacy (Section VII-B).
+
     Attributes
     ----------
     dataset_scale:
@@ -58,12 +62,6 @@ class ExperimentConfig:
         Master seed; repetitions use independent child streams.
     default_d, default_epsilon:
         Values held fixed while the other parameter is swept.
-    exact_cell_limit:
-        Largest grid (in cells) for which the exact LP Wasserstein solver is used;
-        larger grids switch to Sinkhorn, mirroring the paper.
-    calibrate_sem:
-        Whether SEM-Geo-I's ε′ is calibrated to DAM's Local Privacy (Section VII-B)
-        rather than reusing the raw ε.
     max_users_per_part:
         Hard cap on the number of reports per dataset part (keeps EM costs bounded on
         laptop runs); ``None`` disables the cap.
@@ -82,8 +80,6 @@ class ExperimentConfig:
     seed: int = 2025
     default_d: int = DEFAULT_D
     default_epsilon: float = DEFAULT_EPSILON
-    exact_cell_limit: int = 144
-    calibrate_sem: bool = True
     max_users_per_part: int | None = None
     workers: int = 1
     cache_dir: str | None = None

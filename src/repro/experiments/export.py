@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+from repro.experiments.reporting import sweep_table
 from repro.experiments.runner import MeasurementPoint, SweepResult
 
 _CSV_FIELDS = (
@@ -92,26 +93,9 @@ def sweep_from_json(text: str) -> SweepResult:
 
 def sweep_to_markdown(result: SweepResult, *, precision: int = 4) -> str:
     """Render a sweep as a GitHub-flavoured markdown table (datasets x mechanisms)."""
-    mechanisms = result.mechanisms()
-    parameter = result.points[0].parameter_name if result.points else "param"
-    header = f"| dataset | {parameter} | " + " | ".join(mechanisms) + " |"
-    divider = "|" + "---|" * (len(mechanisms) + 2)
-    lines = [header, divider]
-    for dataset in result.datasets():
-        values = sorted({p.parameter_value for p in result.points if p.dataset == dataset})
-        for value in values:
-            cells = []
-            for mechanism in mechanisms:
-                matches = [
-                    p.w2_mean
-                    for p in result.points
-                    if p.dataset == dataset
-                    and p.mechanism == mechanism
-                    and p.parameter_value == value
-                ]
-                cells.append(f"{matches[0]:.{precision}f}" if matches else "-")
-            label = f"{int(value)}" if float(value).is_integer() else f"{value:g}"
-            lines.append(f"| {dataset} | {label} | " + " | ".join(cells) + " |")
+    headers, rows = sweep_table(result, precision=precision)
+    lines = ["| " + " | ".join(row) + " |" for row in (headers, *rows)]
+    lines.insert(1, "|" + "---|" * len(headers))
     return "\n".join(lines)
 
 

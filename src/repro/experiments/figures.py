@@ -9,7 +9,7 @@ The benchmark suite calls these with the laptop config and prints the resulting 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,19 +186,6 @@ def figure13_full_domain(config: ExperimentConfig | None = None) -> dict[str, Sw
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrajectorySweepResult:
-    """Figure 14 results: W2 per (mechanism, swept value)."""
-
-    name: str
-    points: list[MeasurementPoint] = field(default_factory=list)
-
-    def series(self, mechanism: str) -> list[tuple[float, float]]:
-        return sorted(
-            (p.parameter_value, p.w2_mean) for p in self.points if p.mechanism == mechanism
-        )
-
-
 def _trajectory_dataset(config: TrajectoryConfig):
     from repro.datasets.loader import load_dataset as _load
     from repro.datasets.trajectories import generate_trajectories
@@ -223,17 +210,20 @@ def figure14_trajectory(
     config: TrajectoryConfig | None = None,
     *,
     sweep: str = "both",
-) -> dict[str, TrajectorySweepResult]:
-    """Figure 14(a-b): trajectory W2 versus d and versus epsilon on NYC trajectories."""
+) -> dict[str, SweepResult]:
+    """Figure 14(a-b): trajectory W2 versus d and versus epsilon on NYC trajectories.
+
+    Every point's dataset is ``"NYC-trajectories"``.
+    """
     config = config or laptop_trajectory_config()
     if sweep not in ("d", "epsilon", "both"):
         raise ValueError(f"sweep must be 'd', 'epsilon' or 'both', got {sweep!r}")
     dataset, domain = _trajectory_dataset(config)
     trajectories = dataset.trajectories
-    results: dict[str, TrajectorySweepResult] = {}
+    results: dict[str, SweepResult] = {}
 
-    def run(parameter_name: str, values, fixed_d: int, fixed_eps: float) -> TrajectorySweepResult:
-        result = TrajectorySweepResult(name=f"figure14-{parameter_name}")
+    def run(parameter_name: str, values, fixed_d: int, fixed_eps: float) -> SweepResult:
+        result = SweepResult(name=f"figure14-{parameter_name}")
         for value in values:
             d = int(value) if parameter_name == "d" else fixed_d
             epsilon = float(value) if parameter_name == "epsilon" else fixed_eps

@@ -29,28 +29,32 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join([line, separator, *body])
 
 
-def format_sweep(result: SweepResult, *, precision: int = 4) -> str:
-    """Format a sweep as a wide table: one (dataset, parameter) row per mechanism column."""
+def sweep_table(result: SweepResult, *, precision: int = 4) -> tuple[list[str], list[list[str]]]:
+    """A sweep as headers and text rows: one (dataset, parameter) row, one mechanism column.
+
+    The one layout behind :func:`format_sweep` and
+    :func:`~repro.experiments.export.sweep_to_markdown`; a missing cell reads ``-``.
+    """
     mechanisms = result.mechanisms()
-    headers = [
-        "dataset", result.points[0].parameter_name if result.points else "param", *mechanisms
-    ]
+    parameter = result.points[0].parameter_name if result.points else "param"
+    means: dict[tuple[str, float, str], float] = {}
+    for p in result.points:
+        means.setdefault((p.dataset, p.parameter_value, p.mechanism), p.w2_mean)
     rows = []
     for dataset in result.datasets():
         values = sorted({p.parameter_value for p in result.points if p.dataset == dataset})
         for value in values:
-            row: list[object] = [dataset, _format_value(value)]
+            row = [dataset, _format_value(value)]
             for mechanism in mechanisms:
-                matches = [
-                    p.w2_mean
-                    for p in result.points
-                    if p.dataset == dataset
-                    and p.mechanism == mechanism
-                    and p.parameter_value == value
-                ]
-                row.append(f"{matches[0]:.{precision}f}" if matches else "-")
+                mean = means.get((dataset, value, mechanism))
+                row.append("-" if mean is None else f"{mean:.{precision}f}")
             rows.append(row)
-    return format_table(headers, rows)
+    return ["dataset", parameter, *mechanisms], rows
+
+
+def format_sweep(result: SweepResult, *, precision: int = 4) -> str:
+    """Format a sweep as a wide table: one (dataset, parameter) row per mechanism column."""
+    return format_table(*sweep_table(result, precision=precision))
 
 
 def _format_value(value: float) -> str:

@@ -8,8 +8,16 @@ The runner reproduces the measurement protocol of Section VII-C:
 * every configuration is repeated ``n_repeats`` times with independent randomness and
   the mean is reported;
 * SEM-Geo-I's ε′ is calibrated so its Local Privacy matches DAM's at the same nominal
-  budget (Section VII-B), unless calibration is disabled;
-* the exact LP Wasserstein solver is used for coarse grids and Sinkhorn for fine ones.
+  budget (Section VII-B);
+* the exact LP Wasserstein solver scores grids of up to
+  :data:`~repro.metrics.wasserstein.EXACT_CELL_LIMIT` cells and Sinkhorn the finer
+  ones; that constant is the one place the limit lives, and the sweep cache key
+  reads it.
+
+Every sweep metric (:data:`SWEEP_METRICS`) names a part evaluator; the evaluators
+share one part preparation (domain filter, optional ``max_users`` subsample, and,
+for the point metrics, the unit-square map and grid), and one repetition loop
+averages them over a dataset's parts.
 
 Execution scales out without changing a single number: every (dataset, mechanism,
 parameter value) cell of a sweep derives its randomness from its own stable seed, so
@@ -21,7 +29,9 @@ bit-identical to the serial, uncached run.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -39,6 +49,7 @@ from repro.mechanisms.geo_i import DiscreteGeoIMechanism
 from repro.mechanisms.hdg import HDG
 from repro.mechanisms.mdsw import MDSW
 from repro.mechanisms.sem_geo_i import SEMGeoI
+from repro.metrics import wasserstein
 from repro.metrics.local_privacy import calibrate_epsilon, local_privacy_of_mechanism
 from repro.metrics.wasserstein import wasserstein2_auto
 from repro.queries.engine import QueryEngine
@@ -119,17 +130,11 @@ def _calibrated_sem_epsilon_cached(
     return float(result.epsilon)
 
 
-def build_mechanism(
-    name: str,
-    grid: GridSpec,
-    epsilon: float,
-    *,
-    b_hat: int | None = None,
-    calibrate_sem: bool = True,
-):
+def build_mechanism(name: str, grid: GridSpec, epsilon: float, *, b_hat: int | None = None):
     """Instantiate a mechanism by its paper name on the given grid and budget.
 
     ``b_hat`` of ``None`` or ``0`` leaves the disk mechanisms at their default radius.
+    SEM-Geo-I runs at the ε′ of :func:`calibrated_sem_epsilon`, not at ``epsilon``.
     """
     key = name.strip().lower()
     if key == "dam":
@@ -141,10 +146,7 @@ def build_mechanism(
     if key == "mdsw":
         return MDSW(grid, epsilon)
     if key in ("sem-geo-i", "sem_geo_i", "semgeoi"):
-        sem_epsilon = (
-            calibrated_sem_epsilon(grid, epsilon, b_hat) if calibrate_sem else epsilon
-        )
-        return SEMGeoI(grid, sem_epsilon)
+        return SEMGeoI(grid, calibrated_sem_epsilon(grid, epsilon, b_hat))
     if key == "geo-i":
         return DiscreteGeoIMechanism(grid, epsilon)
     if key in ("bucket+cfo", "cfo", "bucket"):
@@ -152,6 +154,33 @@ def build_mechanism(
     if key == "hdg":
         return HDG(grid, epsilon)
     raise ValueError(f"unknown mechanism {name!r}; expected one of {MECHANISM_NAMES}")
+
+
+def _part_points(
+    points: np.ndarray, domain: SpatialDomain, seed, max_users: int | None
+) -> tuple[np.random.Generator, np.ndarray]:
+    """The part's generator and its in-domain points, subsampled to ``max_users``."""
+    rng = ensure_rng(seed)
+    pts = np.asarray(points, dtype=float)
+    pts = pts[domain.contains(pts)]
+    if max_users is not None and pts.shape[0] > max_users:
+        chosen = rng.choice(pts.shape[0], size=max_users, replace=False)
+        pts = pts[chosen]
+    return rng, pts
+
+
+def _unit_part(
+    points: np.ndarray, domain: SpatialDomain, d: int, seed, max_users: int | None
+) -> tuple[np.random.Generator, np.ndarray, GridSpec]:
+    """:func:`_part_points` mapped into the unit square, with the ``d x d`` grid on it.
+
+    Following the problem definition (Section IV: the input domain is the unit
+    square), every point metric scores the part on ``[0, 1]^2``, so errors are
+    comparable across datasets of different physical extent — the scale of the
+    paper's figures.
+    """
+    rng, pts = _part_points(points, domain, seed, max_users)
+    return rng, domain.normalise(pts), GridSpec(SpatialDomain.unit(domain.name or "unit"), d)
 
 
 def evaluate_on_part(
@@ -163,38 +192,13 @@ def evaluate_on_part(
     *,
     b_hat: int | None = None,
     seed=None,
-    exact_cell_limit: int = 144,
-    calibrate_sem: bool = True,
     max_users: int | None = None,
-    normalise_domain: bool = True,
 ) -> float:
-    """Run one mechanism on one dataset part and return the ``W2`` error.
-
-    Following the problem definition (Section IV: the input domain is the unit square),
-    the part's coordinates are affinely mapped into ``[0, 1]^2`` before bucketisation by
-    default, so W2 values are comparable across datasets of different physical extent —
-    this matches the scale of the paper's figures.
-    """
-    rng = ensure_rng(seed)
-    pts = np.asarray(points, dtype=float)
-    pts = pts[domain.contains(pts)]
-    if max_users is not None and pts.shape[0] > max_users:
-        chosen = rng.choice(pts.shape[0], size=max_users, replace=False)
-        pts = pts[chosen]
-    if normalise_domain:
-        pts = domain.normalise(pts)
-        domain = SpatialDomain.unit(domain.name or "unit")
-    grid = GridSpec(domain, d)
+    """Run one mechanism on one dataset part and return its ``W2`` error on the unit square."""
+    rng, pts, grid = _unit_part(points, domain, d, seed, max_users)
     true_distribution = grid.distribution(pts)
-    mechanism = build_mechanism(
-        mechanism_name,
-        grid,
-        epsilon,
-        b_hat=b_hat,
-        calibrate_sem=calibrate_sem,
-    )
-    report = mechanism.run(pts, seed=rng)
-    return wasserstein2_auto(true_distribution, report.estimate, exact_cell_limit=exact_cell_limit)
+    report = build_mechanism(mechanism_name, grid, epsilon, b_hat=b_hat).run(pts, seed=rng)
+    return wasserstein2_auto(true_distribution, report.estimate)
 
 
 #: Range-query workload used by the ``"range-mae"`` sweep metric: queries per part
@@ -239,17 +243,14 @@ def evaluate_trajectories_on_part(
     set, the trajectory mechanism (``"LDPTrace"``, ``"PivotTrace"`` or ``"DAM"``
     through the trajectory-to-point adapter) privatizes it, and the seven-step
     comparison returns the Wasserstein error — the trajectory counterpart of
-    :func:`evaluate_on_part`'s point metric.
+    :func:`evaluate_on_part`'s point metric.  The adapter maps the trajectories into
+    the unit square itself, so the part keeps its own domain here.  The trajectory
+    mechanisms have no disk radius, so there is no ``b_hat``.
     """
     from repro.datasets.trajectories import generate_trajectories
     from repro.trajectory.adapter import compare_trajectory_mechanism
 
-    rng = ensure_rng(seed)
-    pts = np.asarray(points, dtype=float)
-    pts = pts[domain.contains(pts)]
-    if max_users is not None and pts.shape[0] > max_users:
-        chosen = rng.choice(pts.shape[0], size=max_users, replace=False)
-        pts = pts[chosen]
+    rng, pts = _part_points(points, domain, seed, max_users)
     dataset = generate_trajectories(
         pts,
         domain,
@@ -277,9 +278,7 @@ def evaluate_stream_on_part(
     *,
     b_hat: int | None = None,
     seed=None,
-    calibrate_sem: bool = True,
     max_users: int | None = None,
-    normalise_domain: bool = True,
     n_epochs: int = STREAM_WORKLOAD_EPOCHS,
     users_per_epoch: int = STREAM_WORKLOAD_USERS_PER_EPOCH,
     window_epochs: int = STREAM_WORKLOAD_WINDOW_EPOCHS,
@@ -301,31 +300,17 @@ def evaluate_stream_on_part(
     """
     from repro.streaming import StreamingEstimationService
 
-    rng = ensure_rng(seed)
-    pts = np.asarray(points, dtype=float)
-    pts = pts[domain.contains(pts)]
-    if max_users is not None and pts.shape[0] > max_users:
-        chosen = rng.choice(pts.shape[0], size=max_users, replace=False)
-        pts = pts[chosen]
-    if normalise_domain:
-        pts = domain.normalise(pts)
-        domain = SpatialDomain.unit(domain.name or "unit")
-    grid = GridSpec(domain, d)
-    mechanism = build_mechanism(
-        mechanism_name,
-        grid,
-        epsilon,
-        b_hat=b_hat,
-        calibrate_sem=calibrate_sem,
-    )
+    rng, pts, grid = _unit_part(points, domain, d, seed, max_users)
+    unit = grid.domain
+    mechanism = build_mechanism(mechanism_name, grid, epsilon, b_hat=b_hat)
     service = StreamingEstimationService(mechanism, window_epochs=window_epochs, seed=rng)
-    step = np.array([domain.width, domain.height])
+    step = np.array([unit.width, unit.height])
     errors = []
     for epoch in range(n_epochs):
         t = epoch / (n_epochs - 1) if n_epochs > 1 else 0.0
         offset = drift * (t - 0.5) * step
         chosen = rng.integers(0, pts.shape[0], users_per_epoch)
-        update = service.ingest_epoch(domain.clip(pts[chosen] + offset))
+        update = service.ingest_epoch(unit.clip(pts[chosen] + offset))
         truth = service.window.true_distribution()
         errors.append(float(np.abs(update.estimate.flat() - truth.flat()).mean()))
     return float(np.mean(errors))
@@ -340,9 +325,7 @@ def evaluate_range_queries_on_part(
     *,
     b_hat: int | None = None,
     seed=None,
-    calibrate_sem: bool = True,
     max_users: int | None = None,
-    normalise_domain: bool = True,
     n_queries: int = RANGE_QUERY_WORKLOAD_SIZE,
 ) -> float:
     """Range-query MAE of one mechanism on one dataset part.
@@ -352,131 +335,64 @@ def evaluate_range_queries_on_part(
     random rectangular workload — the range-query counterpart of
     :func:`evaluate_on_part`'s ``W2`` error.
     """
-    rng = ensure_rng(seed)
-    pts = np.asarray(points, dtype=float)
-    pts = pts[domain.contains(pts)]
-    if max_users is not None and pts.shape[0] > max_users:
-        chosen = rng.choice(pts.shape[0], size=max_users, replace=False)
-        pts = pts[chosen]
-    if normalise_domain:
-        pts = domain.normalise(pts)
-        domain = SpatialDomain.unit(domain.name or "unit")
-    grid = GridSpec(domain, d)
-    mechanism = build_mechanism(
-        mechanism_name,
-        grid,
-        epsilon,
-        b_hat=b_hat,
-        calibrate_sem=calibrate_sem,
-    )
-    report = mechanism.run(pts, seed=rng)
+    rng, pts, grid = _unit_part(points, domain, d, seed, max_users)
+    report = build_mechanism(mechanism_name, grid, epsilon, b_hat=b_hat).run(pts, seed=rng)
     low, high = RANGE_QUERY_FRACTIONS
     workload = RangeQueryWorkload.random(
-        domain, n_queries, min_fraction=low, max_fraction=high, seed=rng
+        grid.domain, n_queries, min_fraction=low, max_fraction=high, seed=rng
     )
     answers = QueryEngine(report.estimate).range_mass(workload.as_array())
     return workload.mean_absolute_error(answers, pts)
 
 
-def _evaluate_repeat(
-    repeat_seed,
-    *,
-    mechanism_name: str,
-    dataset: EvaluationDataset,
-    d: int,
-    epsilon: float,
-    b_hat: int | None,
-    config: ExperimentConfig,
-    metric: str = "w2",
-) -> float:
-    """One repetition: run the mechanism on every dataset part, average the errors.
+@dataclass(frozen=True)
+class SweepMetric:
+    """One sweep metric: its part evaluator and the workload constants it scores on.
 
-    The parts deliberately share one generator (state carries across parts within a
-    repetition, as in the original serial loop), so a repetition is the unit of
-    parallelism — fanning out repetitions reproduces the serial numbers bit for bit.
+    ``workload`` enters every cell's cache key, so changing a constant re-scores the
+    cells it affects; ``takes_radius`` says whether the evaluator takes a disk radius
+    (``b_hat``), which a ``"b_scale"`` sweep needs.
     """
-    rng = ensure_rng(repeat_seed)
-    if metric == "w2":
-        part_errors = [
-            evaluate_on_part(
-                mechanism_name,
-                points,
-                domain,
-                d,
-                epsilon,
-                b_hat=b_hat,
-                seed=rng,
-                exact_cell_limit=config.exact_cell_limit,
-                calibrate_sem=config.calibrate_sem,
-                max_users=config.max_users_per_part,
-            )
-            for _, points, domain in dataset.parts
-        ]
-    elif metric == "range-mae":
-        part_errors = [
-            evaluate_range_queries_on_part(
-                mechanism_name,
-                points,
-                domain,
-                d,
-                epsilon,
-                b_hat=b_hat,
-                seed=rng,
-                calibrate_sem=config.calibrate_sem,
-                max_users=config.max_users_per_part,
-            )
-            for _, points, domain in dataset.parts
-        ]
-    elif metric == "trajectory-w2":
-        part_errors = [
-            evaluate_trajectories_on_part(
-                mechanism_name,
-                points,
-                domain,
-                d,
-                epsilon,
-                seed=rng,
-                max_users=config.max_users_per_part,
-            )
-            for _, points, domain in dataset.parts
-        ]
-    elif metric == "stream-mae":
-        part_errors = [
-            evaluate_stream_on_part(
-                mechanism_name,
-                points,
-                domain,
-                d,
-                epsilon,
-                b_hat=b_hat,
-                seed=rng,
-                calibrate_sem=config.calibrate_sem,
-                max_users=config.max_users_per_part,
-            )
-            for _, points, domain in dataset.parts
-        ]
-    else:
+
+    evaluate: Callable[..., float]
+    workload: tuple = ()
+    takes_radius: bool = True
+
+
+#: The sweep metrics by name (see :func:`sweep_parameter`).
+SWEEP_METRICS: dict[str, SweepMetric] = {
+    "w2": SweepMetric(evaluate_on_part),
+    "range-mae": SweepMetric(
+        evaluate_range_queries_on_part, (RANGE_QUERY_WORKLOAD_SIZE, RANGE_QUERY_FRACTIONS)
+    ),
+    "trajectory-w2": SweepMetric(
+        evaluate_trajectories_on_part,
+        (
+            TRAJECTORY_WORKLOAD_ROUTING_D,
+            TRAJECTORY_WORKLOAD_SIZE,
+            TRAJECTORY_WORKLOAD_MAX_LENGTH,
+        ),
+        takes_radius=False,
+    ),
+    "stream-mae": SweepMetric(
+        evaluate_stream_on_part,
+        (
+            STREAM_WORKLOAD_EPOCHS,
+            STREAM_WORKLOAD_USERS_PER_EPOCH,
+            STREAM_WORKLOAD_WINDOW_EPOCHS,
+            STREAM_WORKLOAD_DRIFT,
+        ),
+    ),
+}
+
+
+def _sweep_metric(metric: str) -> SweepMetric:
+    try:
+        return SWEEP_METRICS[metric]
+    except KeyError:
         raise ValueError(
-            f"unknown sweep metric {metric!r}; "
-            "expected 'w2', 'range-mae', 'trajectory-w2' or 'stream-mae'"
-        )
-    return float(np.mean(part_errors))
-
-
-# Worker-process global for the repetition pool: the (dataset-bearing) evaluation
-# context is shipped once per worker through the pool initializer rather than being
-# re-pickled into every repetition task.
-_REPEAT_EVALUATE = None
-
-
-def _repeat_worker_init(evaluate) -> None:
-    global _REPEAT_EVALUATE
-    _REPEAT_EVALUATE = evaluate
-
-
-def _repeat_worker(repeat_seed) -> float:
-    assert _REPEAT_EVALUATE is not None, "repetition pool initializer did not run"
-    return _REPEAT_EVALUATE(repeat_seed)
+            f"unknown sweep metric {metric!r}; expected one of {tuple(SWEEP_METRICS)}"
+        ) from None
 
 
 def evaluate_on_dataset(
@@ -488,37 +404,36 @@ def evaluate_on_dataset(
     *,
     b_hat: int | None = None,
     seed=None,
-    workers: int = 1,
     metric: str = "w2",
 ) -> tuple[float, float]:
     """Mean and standard deviation of the error over repetitions and dataset parts.
 
-    ``metric`` selects the error: ``"w2"`` (the paper's Wasserstein protocol) or
-    ``"range-mae"`` (range-query mean absolute error through the serving engine).
-    ``workers > 1`` fans the repetitions out to a process pool; each repetition owns
-    an independent spawned child stream, so the returned statistics are identical to
-    the serial run for every worker count.
+    ``metric`` names the error (a key of :data:`SWEEP_METRICS`).  Each repetition
+    owns an independent spawned child stream, and its dataset parts share that one
+    generator (its state carries from part to part).
     """
-    repeat_seeds = spawn_seed_sequences(seed if seed is not None else config.seed, config.n_repeats)
-    evaluate = partial(
-        _evaluate_repeat,
-        mechanism_name=mechanism_name,
-        dataset=dataset,
-        d=d,
-        epsilon=epsilon,
-        b_hat=b_hat,
-        config=config,
-        metric=metric,
-    )
-    if workers > 1 and len(repeat_seeds) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(repeat_seeds)),
-            initializer=_repeat_worker_init,
-            initargs=(evaluate,),
-        ) as pool:
-            repeat_means = list(pool.map(_repeat_worker, repeat_seeds))
-    else:
-        repeat_means = [evaluate(child) for child in repeat_seeds]
+    evaluate = _sweep_metric(metric).evaluate
+    # Passed only when set: an evaluator without a radius then refuses one outright.
+    radius = {} if b_hat is None else {"b_hat": b_hat}
+    repeat_means = []
+    for repeat_seed in spawn_seed_sequences(
+        seed if seed is not None else config.seed, config.n_repeats
+    ):
+        rng = ensure_rng(repeat_seed)
+        part_errors = [
+            evaluate(
+                mechanism_name,
+                points,
+                domain,
+                d,
+                epsilon,
+                seed=rng,
+                max_users=config.max_users_per_part,
+                **radius,
+            )
+            for _, points, domain in dataset.parts
+        ]
+        repeat_means.append(float(np.mean(part_errors)))
     return float(np.mean(repeat_means)), float(np.std(repeat_means))
 
 
@@ -612,34 +527,11 @@ def _cell_cache_key(cell: SweepCell, config: ExperimentConfig) -> str:
             "dataset_scale": config.dataset_scale,
             "n_repeats": config.n_repeats,
             "config_seed": config.seed,
-            "exact_cell_limit": config.exact_cell_limit,
-            "calibrate_sem": config.calibrate_sem,
             "max_users_per_part": config.max_users_per_part,
             "metric": cell.metric,
-            "range_query_workload": (
-                (RANGE_QUERY_WORKLOAD_SIZE, RANGE_QUERY_FRACTIONS)
-                if cell.metric == "range-mae"
-                else None
-            ),
-            "trajectory_workload": (
-                (
-                    TRAJECTORY_WORKLOAD_ROUTING_D,
-                    TRAJECTORY_WORKLOAD_SIZE,
-                    TRAJECTORY_WORKLOAD_MAX_LENGTH,
-                )
-                if cell.metric == "trajectory-w2"
-                else None
-            ),
-            "stream_workload": (
-                (
-                    STREAM_WORKLOAD_EPOCHS,
-                    STREAM_WORKLOAD_USERS_PER_EPOCH,
-                    STREAM_WORKLOAD_WINDOW_EPOCHS,
-                    STREAM_WORKLOAD_DRIFT,
-                )
-                if cell.metric == "stream-mae"
-                else None
-            ),
+            "workload": SWEEP_METRICS[cell.metric].workload,
+            # Read at call time: raising the limit must re-score every cached cell.
+            "exact_cell_limit": wasserstein.EXACT_CELL_LIMIT,
         }
     )
 
@@ -683,6 +575,9 @@ def plan_sweep(
     """Expand a sweep into its independent cells, in the canonical (serial) order."""
     if parameter_name not in ("d", "epsilon", "b_scale"):
         raise ValueError(f"unknown swept parameter {parameter_name!r}")
+    takes_radius = _sweep_metric(metric).takes_radius
+    if parameter_name == "b_scale" and not takes_radius:
+        raise ValueError(f"metric {metric!r} takes no disk radius, so it cannot sweep 'b_scale'")
     dataset_names = datasets if datasets is not None else config.datasets
     cells: list[SweepCell] = []
     for dataset_name in dataset_names:
@@ -731,7 +626,8 @@ def sweep_parameter(
     """Run a full sweep: every (dataset, mechanism, parameter value) combination.
 
     ``parameter_name`` is ``"d"``, ``"epsilon"`` or ``"b_scale"``; the non-swept
-    parameters take the config defaults.  ``metric`` selects the per-cell error:
+    parameters take the config defaults.  ``metric`` selects the per-cell error (a
+    key of :data:`SWEEP_METRICS`):
 
     * ``"w2"`` — ``W2`` of the estimate against the part's true histogram (the
       paper's figures);
@@ -741,6 +637,7 @@ def sweep_parameter(
     * ``"trajectory-w2"`` — point-density ``W2`` of a trajectory mechanism
       (``LDPTrace`` / ``PivotTrace`` / ``DAM`` through the adapter) on an
       Appendix-D workload generated from the part (the Figure-14 panel at scale);
+      these mechanisms have no disk radius, so a ``"b_scale"`` sweep refuses it;
     * ``"stream-mae"`` — epoch-averaged per-cell MAE of the sliding-window
       :class:`~repro.streaming.StreamingEstimationService` over a drifting stream
       built from the part; the mechanism must carry a transition model.
@@ -781,17 +678,16 @@ def sweep_parameter(
     if pending:
         evaluate = partial(_evaluate_sweep_cell, config=config)
         todo = [cells[index] for index, _ in pending]
-        if workers > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-                results = pool.map(evaluate, todo)
-                # Consume lazily and persist each cell as it lands, so an
-                # interrupted sweep resumes from every completed cell.
-                for (index, key), point in zip(pending, results):
-                    points[index] = point
-                    cache.put(key, _point_to_payload(point))
-        else:
-            for (index, key), cell in zip(pending, todo):
-                point = evaluate(cell)
+        pool = (
+            ProcessPoolExecutor(max_workers=min(workers, len(todo)))
+            if workers > 1 and len(todo) > 1
+            else None
+        )
+        with pool or nullcontext():
+            results = pool.map(evaluate, todo) if pool else map(evaluate, todo)
+            # Consume lazily and persist each cell as it lands, so an
+            # interrupted sweep resumes from every completed cell.
+            for (index, key), point in zip(pending, results):
                 points[index] = point
                 cache.put(key, _point_to_payload(point))
 

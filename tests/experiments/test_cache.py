@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.loader import load_dataset
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.config import smoke_config
-from repro.experiments.runner import (
-    evaluate_on_dataset,
-    plan_sweep,
-    sweep_parameter,
-)
+from repro.experiments.runner import _cell_cache_key, plan_sweep, sweep_parameter
+from repro.metrics import wasserstein
 
 
 class TestCacheKey:
@@ -134,6 +130,13 @@ class TestSweepExecution:
         assert cache.hits == 1
         assert warm.points == cold.points
 
+    def test_exact_w2_limit_changes_the_key(self, tiny_config, monkeypatch):
+        """A cell scored under one exact-W2 limit is never served under another."""
+        (cell,) = plan_sweep("d", (13,), ("DAM",), tiny_config, datasets=("SZipf",))
+        before = _cell_cache_key(cell, tiny_config)
+        monkeypatch.setattr(wasserstein, "EXACT_CELL_LIMIT", 400)
+        assert _cell_cache_key(cell, tiny_config) != before
+
     def test_config_change_invalidates(self, tiny_config, tmp_path):
         cache = ResultCache(tmp_path)
         sweep_parameter("s", "d", (2,), ("DAM",), tiny_config, datasets=("SZipf",), cache=cache)
@@ -176,12 +179,3 @@ class TestSweepExecution:
         config = tiny_config.with_overrides(cache_dir=str(tmp_path))
         sweep_parameter("s", "d", (2,), ("DAM",), config, datasets=("SZipf",))
         assert any(tmp_path.rglob("*.json"))
-
-
-class TestEvaluateOnDatasetWorkers:
-    def test_parallel_repeats_match_serial(self, tiny_config):
-        config = tiny_config.with_overrides(n_repeats=3)
-        dataset = load_dataset("SZipf", scale=config.dataset_scale, seed=config.seed)
-        serial = evaluate_on_dataset("DAM", dataset, 4, 3.5, config, seed=1)
-        parallel = evaluate_on_dataset("DAM", dataset, 4, 3.5, config, seed=1, workers=2)
-        assert serial == parallel

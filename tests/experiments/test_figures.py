@@ -72,7 +72,7 @@ class TestFigure14:
         assert set(results) == {"epsilon"}
         sweep = results["epsilon"]
         for mechanism in ("LDPTrace", "PivotTrace", "DAM"):
-            series = sweep.series(mechanism)
+            series = sweep.series("NYC-trajectories", mechanism)
             assert [x for x, _ in series] == [0.5, 1.0, 1.5, 2.0, 2.5]
 
     def test_invalid_sweep_rejected(self):

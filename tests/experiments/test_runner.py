@@ -8,6 +8,7 @@ import pytest
 from repro.core.dam import DiscreteDAM
 from repro.core.domain import GridSpec, SpatialDomain
 from repro.datasets.loader import load_dataset
+from repro.experiments import runner
 from repro.experiments.config import smoke_config
 from repro.experiments.runner import (
     MECHANISM_NAMES,
@@ -18,6 +19,7 @@ from repro.experiments.runner import (
     evaluate_range_queries_on_part,
     evaluate_stream_on_part,
     evaluate_trajectories_on_part,
+    plan_sweep,
     sweep_parameter,
 )
 from repro.mechanisms.sem_geo_i import SEMGeoI
@@ -32,7 +34,7 @@ def grid5() -> GridSpec:
 class TestBuildMechanism:
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     def test_all_names_construct(self, grid5, name):
-        mech = build_mechanism(name, grid5, 2.0, calibrate_sem=False)
+        mech = build_mechanism(name, grid5, 2.0)
         assert mech.grid is grid5
 
     def test_dam_ns_flag(self, grid5):
@@ -44,8 +46,8 @@ class TestBuildMechanism:
         assert build_mechanism("DAM", grid5, 2.0, b_hat=2).b_hat == 2
 
     def test_sem_calibration_changes_epsilon(self, grid5):
-        calibrated = build_mechanism("SEM-Geo-I", grid5, 3.5, calibrate_sem=True)
-        raw = build_mechanism("SEM-Geo-I", grid5, 3.5, calibrate_sem=False)
+        calibrated = build_mechanism("SEM-Geo-I", grid5, 3.5)
+        raw = SEMGeoI(grid5, 3.5)
         assert isinstance(calibrated, SEMGeoI)
         assert calibrated.epsilon != pytest.approx(raw.epsilon)
 
@@ -129,6 +131,21 @@ class TestSweep:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             sweep_parameter("bad", "gamma", (1,), ("DAM",), smoke_config())
+
+    def test_b_scale_sweep_refuses_a_metric_without_radius(self, monkeypatch):
+        """``trajectory-w2`` takes no radius: a ``b_scale`` sweep would record one
+        number under every ``b_hat``, so it is refused before any cell runs."""
+
+        def no_cell_may_run(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(runner, "_evaluate_sweep_cell", no_cell_may_run)
+        config = smoke_config()
+        kwargs = dict(datasets=("SZipf",), metric="trajectory-w2")
+        with pytest.raises(ValueError, match="b_scale"):
+            plan_sweep("b_scale", (1.0, 3.0), ("DAM",), config, **kwargs)
+        with pytest.raises(ValueError, match="b_scale"):
+            sweep_parameter("b", "b_scale", (1.0, 3.0), ("DAM",), config, **kwargs)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):

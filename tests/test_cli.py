@@ -53,10 +53,15 @@ class TestParser:
             ["query", "--scale", "0"],
             ["query", "--n-queries", "0"],
             ["query", "--top-k", "-1"],
+            ["query", "--min-fraction", "1.5"],
+            ["query", "--min-fraction", "-0.5"],
+            ["query", "--max-fraction", "0"],
+            ["query", "--max-fraction", "0.1", "--min-fraction", "0.9"],
             ["trajectory", "--d", "0"],
             ["trajectory", "--routing-d", "0"],
             ["trajectory", "--n-trajectories", "0"],
             ["trajectory", "--max-length", "0"],
+            ["trajectory", "--max-length", "1"],
             ["trajectory", "--n-output", "-1"],
             ["trajectory", "--workers", "0"],
             ["trajectory", "--top-k", "-1"],
@@ -66,6 +71,7 @@ class TestParser:
             ["stream", "--users-per-epoch", "0"],
             ["stream", "--trajectories-per-epoch", "0"],
             ["stream", "--max-length", "0"],
+            ["stream", "--max-length", "1"],
             ["stream", "--n-synthetic", "0"],
             ["stream", "--window", "0"],
             ["stream", "--decay", "0"],
@@ -80,6 +86,9 @@ class TestParser:
             ["serve", "--serve-workers", "0"],
             ["serve", "--queries-per-epoch", "0"],
             ["serve", "--batch-rows", "0"],
+            ["serve", "--min-fraction", "0"],
+            ["serve", "--max-fraction", "1.5"],
+            ["serve", "--max-fraction", "0.1", "--min-fraction", "0.9"],
         ],
         ids=" ".join,
     )
